@@ -2,10 +2,12 @@
 
 Each core owns private local memory and four queues (scalar decode, DMA,
 vector, cube).  Functional execution is sequential per core: the VM walks
-the program body once per assigned tile, decoding each record and calling
-the matching entry of the instruction table; memory instructions receive
-the tile index for address generation.  The timing model is a separate
-discrete-event pass over the same program and never touches memory.
+the decoded program body once per assigned tile, calling the matching
+entry of the instruction table; memory instructions receive the tile index
+for address generation.  A program's body is decoded once and shared by
+every core.  The timing model is a separate discrete-event pass over the
+same program that still charges a decode per record per tile; it never
+touches memory.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .isa import (
     InstructionKind,
     Queue,
     VirtualInstruction,
-    decode_instruction,
+    decode_instruction,  # noqa: F401  (perfbench/tracing.py counts calls here)
     decompose_tile_index,
 )
 from .tiler import DeviceConfig
@@ -522,15 +524,12 @@ def run_core(
         raise VMError(f"core id {core_id} >= block_dim {header.block_dim}")
     core = core if core is not None else device.cores[core_id]
     stats = stats if stats is not None else ExecutionStats()
-    body = program.body
+    insns = program.instructions()
     for tile in tile_range(core_id, header.total_tiles, header.block_dim):
-        p = 0
-        while p < header.code_size:
-            insn, length = decode_instruction(body, p)
+        for insn in insns:
             fn = INSTRUCTION_TABLE[insn.kind]
             fn(insn, tile, core, device, stats)  # memory ops use the tile id
             stats.count(insn.kind)
-            p += length
         stats.tiles_executed += 1
 
 

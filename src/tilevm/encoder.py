@@ -8,7 +8,6 @@ cross-queue data dependency (plus DMA-load to DMA-store forwarding).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, prod
 
@@ -910,21 +909,9 @@ def bind_and_run(
     inputs: dict[str, np.ndarray],
     debug: bool = False,
 ) -> tuple[dict[str, np.ndarray], ExecutionStats]:
-    """Tile, allocate, encode, and dispatch one group; returns stored tensors."""
-    tg = tile_for_group(group, cfg)
-    sub = tg.graph
-    for tid in sub.graph_input_ids():
-        data = inputs.get(tid) if not device.is_bound(sub.tensors[tid]) else None
-        _bind_resolved(device, sub, tid, data)
-    for tid in sub.outputs:
-        _bind_resolved(device, sub, tid)
-    program = compile_group(group, tg, cfg)
-    stats = dispatch(program, device, cfg=cfg, debug=debug)
-    outputs = {
-        tid: device.read_tensor(sub.tensors[tid], sub.resolved_shape(tid))
-        for tid in sub.outputs
-    }
-    return outputs, stats
+    """Run one group through ``run_groups``; returns its stored tensors."""
+    results, stats = run_groups([group], device, cfg, inputs, debug=debug)
+    return results, stats[0]
 
 
 def run_groups(
@@ -932,15 +919,17 @@ def run_groups(
     device: DeviceState,
     cfg: DeviceConfig,
     inputs: dict[str, np.ndarray],
-    overlap: bool = True,
     debug: bool = False,
 ) -> tuple[dict[str, np.ndarray], list[ExecutionStats]]:
-    """Run a sequence of fused groups, overlapping encoding with execution.
+    """Run a sequence of fused groups one after another.
 
-    Bytecode generation for group k+1 proceeds on a worker thread while the
-    device executes group k; programs are immutable once dispatched.
+    Each group is tiled, its inputs and stores are bound in global memory,
+    then it is compiled, dispatched and its stores are read back before the
+    next group starts.  Returns the stored tensors of all groups and one
+    ``ExecutionStats`` per group.
     """
-    prepared = []
+    all_stats: list[ExecutionStats] = []
+    results: dict[str, np.ndarray] = {}
     for group in groups:
         tg = tile_for_group(group, cfg)
         sub = tg.graph
@@ -949,23 +938,9 @@ def run_groups(
             _bind_resolved(device, sub, tid, data)
         for tid in sub.outputs:
             _bind_resolved(device, sub, tid)
-        prepared.append((group, tg))
-    all_stats: list[ExecutionStats] = []
-    results: dict[str, np.ndarray] = {}
-    if overlap:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            futures = [
-                pool.submit(compile_group, group, tg, cfg) for group, tg in prepared
-            ]
-            for (group, tg), fut in zip(prepared, futures):
-                program = fut.result()
-                all_stats.append(dispatch(program, device, cfg=cfg, debug=debug))
-                _collect(device, tg, results)
-    else:
-        for group, tg in prepared:
-            program = compile_group(group, tg, cfg)
-            all_stats.append(dispatch(program, device, cfg=cfg, debug=debug))
-            _collect(device, tg, results)
+        program = compile_group(group, tg, cfg)
+        all_stats.append(dispatch(program, device, cfg=cfg, debug=debug))
+        _collect(device, tg, results)
     return results, all_stats
 
 

@@ -39,13 +39,7 @@ class FusedGroup:
     @property
     def loads(self) -> list[str]:
         """External input tensor ids, in first-use order."""
-        produced = {op.output for op in self.ops}
-        seen: list[str] = []
-        for op in self.ops:
-            for tid in op.inputs:
-                if tid not in produced and tid not in seen:
-                    seen.append(tid)
-        return seen
+        return self.subgraph().graph_input_ids()
 
     @property
     def op_kinds(self) -> list[str]:
@@ -53,15 +47,7 @@ class FusedGroup:
 
     def subgraph(self) -> OperatorGraph:
         """Standalone graph of just this group; tensor metas are shared."""
-        sub = OperatorGraph(self.graph.symbols)
-        for tid in self.loads:
-            sub.tensors[tid] = self.graph.tensors[tid]
-        for op in self.ops:
-            sub.tensors[op.output] = self.graph.tensors[op.output]
-            sub.ops.append(op)
-            sub._producers[op.output] = op
-        sub.set_outputs(self.stores)
-        return sub
+        return self.graph.subgraph(self.ops, self.stores)
 
     def describe(self) -> str:
         return f"{self.kind}{{{','.join(self.op_kinds)}}}"
@@ -169,19 +155,24 @@ def _creates_cycle(
 
 
 def _escaping(ops: list[BasicOp], g: OperatorGraph, extra: set[str]) -> list[str]:
-    """Produced tensors needed outside the group, in production order."""
-    produced = [op.output for op in ops]
-    produced_set = set(produced)
-    in_group_consumed = {t for op in ops for t in op.inputs}
+    """Produced tensors needed outside the group, in production order.
+
+    A tensor escapes when an op outside the group reads it, when it is a
+    graph output or in ``extra``, or when nothing has read it yet (a leaf,
+    kept reachable).  ``ops`` must already be in ``g``.
+    """
+    produced = {op.output for op in ops}
     out: list[str] = []
-    for tid in produced:
-        outside = any(
-            tid in op.inputs for op in g.ops if op.output not in produced_set
-        )
-        if outside or tid in g.outputs or tid in extra:
+    for op in ops:
+        tid = op.output
+        consumers = g.consumers(tid)
+        if (
+            not consumers
+            or any(c.output not in produced for c in consumers)
+            or tid in g.outputs
+            or tid in extra
+        ):
             out.append(tid)
-        elif tid not in in_group_consumed:
-            out.append(tid)  # leaf: nothing consumed it yet, keep it reachable
     return out
 
 
@@ -211,16 +202,7 @@ def fuse_static(g: OperatorGraph) -> list[FusedGroup]:
 
 
 def _topo_order(groups: list[FusedGroup], g: OperatorGraph) -> list[FusedGroup]:
-    by_tensor = {op.output: i for i, grp in enumerate(groups) for op in grp.ops}
-    deps: list[set[int]] = []
-    for i, grp in enumerate(groups):
-        need = set()
-        for op in grp.ops:
-            for tid in op.inputs:
-                j = by_tensor.get(tid)
-                if j is not None and j != i:
-                    need.add(j)
-        deps.append(need)
+    deps = group_dependencies(groups)
     done: list[int] = []
     ready = set()
     while len(done) < len(groups):
@@ -369,6 +351,9 @@ class FusionBuffer:
                     f"tensor {tid} was flushed without a store and is gone; "
                     f"it must escape its group to be read later"
                 )
+        # the op joins the graph first, so a flush it forces sees it as a
+        # consumer outside the flushed group and stores what it reads
+        self.graph.add_op(op)
         flushed: list[FusedGroup] = []
         if self._open and len(self._open.ops) >= self.capacity:
             flushed.extend(self.flush("capacity"))
@@ -377,7 +362,6 @@ class FusionBuffer:
             and not _creates_cycle(op, self._open.produced(), self.graph)
         ):
             flushed.extend(self.flush("incompatible"))
-        self.graph.add_op(op)
         if self._open is None:
             self._open = _GroupBuilder(self.graph)
         self._open.add(op)

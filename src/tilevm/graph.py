@@ -230,6 +230,7 @@ class OperatorGraph:
         self.ops: list[BasicOp] = []
         self.outputs: list[str] = []
         self._producers: dict[str, BasicOp] = {}
+        self._consumers: dict[str, list[BasicOp]] = {}
 
     def add_tensor(self, meta: TensorMeta) -> TensorMeta:
         if meta.id in self.tensors:
@@ -262,9 +263,32 @@ class OperatorGraph:
         if op.output in self._producers:
             raise GraphError(f"tensor {op.output!r} written twice")
         self._check_shapes(op)
+        self._append(op)
+        return op
+
+    def _append(self, op: BasicOp) -> None:
         self.ops.append(op)
         self._producers[op.output] = op
-        return op
+        for tid in dict.fromkeys(op.inputs):
+            self._consumers.setdefault(tid, []).append(op)
+
+    def subgraph(self, ops: Sequence[BasicOp], outputs: Iterable[str]) -> OperatorGraph:
+        """Standalone graph of ``ops``, which this graph has already checked.
+
+        Tensor metas and the symbol table are shared.  The tensors the ops
+        read but do not produce come first, in first-use order.
+        """
+        sub = OperatorGraph(self.symbols)
+        produced = {op.output for op in ops}
+        for op in ops:
+            for tid in op.inputs:
+                if tid not in produced:
+                    sub.tensors.setdefault(tid, self.tensors[tid])
+        for op in ops:
+            sub.tensors[op.output] = self.tensors[op.output]
+            sub._append(op)
+        sub.set_outputs(outputs)
+        return sub
 
     def op(self, kind: str, inputs: Sequence[str], output: str, **attrs) -> BasicOp:
         return self.add_op(BasicOp(kind, tuple(inputs), output, attrs))
@@ -300,9 +324,14 @@ class OperatorGraph:
     def producer(self, tid: str) -> BasicOp | None:
         return self._producers.get(tid)
 
+    def consumers(self, tid: str) -> list[BasicOp]:
+        """Ops that read ``tid``, in the order they were added."""
+        return self._consumers.get(tid, [])
+
     def graph_input_ids(self) -> list[str]:
-        consumed = {t for op in self.ops for t in op.inputs}
-        return [t for t in self.tensors if t not in self._producers and t in consumed]
+        return [
+            t for t in self.tensors if t not in self._producers and t in self._consumers
+        ]
 
     def set_outputs(self, outputs: Iterable[str]) -> None:
         outputs = list(outputs)

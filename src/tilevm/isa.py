@@ -19,6 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from math import ceil
 from typing import Iterator
 
@@ -523,8 +524,11 @@ class ProgramHeader:
         return ceil(self.total_tiles / self.block_dim)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BytecodeProgram:
+    """A header plus its encoded body.  Immutable, so the body is decoded at
+    most once and every consumer shares that one decode."""
+
     header: ProgramHeader
     body: bytes
 
@@ -565,8 +569,14 @@ class BytecodeProgram:
                 f"body walk ended at {offset}, expected {self.header.code_size}"
             )
 
-    def instructions(self) -> list[VirtualInstruction]:
+    @cached_property
+    def _decoded(self) -> list[VirtualInstruction]:
         return [insn for _, insn in self.walk()]
+
+    def instructions(self) -> list[VirtualInstruction]:
+        """The decoded body, decoded on first call; callers share the list
+        and must not mutate it."""
+        return self._decoded
 
 
 def encode_program(

@@ -17,7 +17,8 @@ from tilevm import (
     ref_execute,
 )
 from tilevm.encoder import run_groups
-from tilevm.graph import decompose
+from tilevm.fuser import FusedGroup, FusionBuffer
+from tilevm.graph import BasicOp, TensorMeta, decompose
 from tilevm.isa import SCHEMAS
 
 NP_OF = {
@@ -207,6 +208,69 @@ def random_vector_graph(
     )]
     g.set_outputs(leaves)
     return g, inputs
+
+
+def random_stream(
+    rng: np.random.Generator,
+    capacity: int,
+    n_ops: int = 16,
+    max_rows: int = 16,
+    max_cols: int = 32,
+) -> tuple[OperatorGraph, dict[str, np.ndarray], list[FusedGroup]]:
+    """Push a random f32 op stream with random host reads through a
+    FusionBuffer of the given capacity.
+
+    Element-wise ops, last-axis sum + broadcast pairs and matmuls against a
+    square weight all keep the [rows, cols] shape, so any op may follow any
+    other and matmuls force incompatible flushes.  Ops read only tensors
+    still readable at that point: inputs, stored outputs of flushed groups
+    and outputs of the open group.  Returns the buffer's graph, the input
+    data and every flushed group in order.
+    """
+    buf = FusionBuffer(capacity=capacity)
+    g = buf.graph
+    r = int(rng.integers(1, max_rows + 1))
+    c = int(rng.integers(2, max_cols + 1))
+    inputs: dict[str, np.ndarray] = {}
+    for tid, shape in (("x0", (r, c)), ("x1", (r, c)), ("w", (c, c))):
+        g.tensor(tid, DType.F32, shape)
+        inputs[tid] = _random_data(rng, shape, DType.F32)
+    readable = ["x0", "x1"]
+    groups: list[FusedGroup] = []
+
+    def take(flushed: list[FusedGroup]) -> None:
+        for group in flushed:
+            groups.append(group)
+            gone = {op.output for op in group.ops} - set(group.stores)
+            readable[:] = [t for t in readable if t not in gone]
+
+    def push(op: BasicOp, shape: tuple[int, ...]) -> None:
+        take(buf.push(op, [TensorMeta(op.output, DType.F32, shape)]))
+
+    for i in range(n_ops):
+        out = f"t{i}"
+        a, b = _pick(rng, readable), _pick(rng, readable)
+        roll = rng.random()
+        if roll < 0.2:
+            push(BasicOp("matmul", (a, "w"), out), (r, c))
+        elif roll < 0.3:
+            push(BasicOp("sum", (a,), f"{out}.s"), (r, 1))
+            push(BasicOp("broadcast", (f"{out}.s",), out, {"size": c}), (r, c))
+        elif roll < 0.65:
+            kind = ("add", "sub", "mul", "min", "max")[int(rng.integers(5))]
+            push(BasicOp(kind, (a, b), out), (r, c))
+        elif roll < 0.8:
+            kind = ("abs", "exp")[int(rng.integers(2))]
+            push(BasicOp(kind, (a,), out), (r, c))
+        else:
+            kind = ("adds", "muls")[int(rng.integers(2))]
+            push(BasicOp(kind, (a,), out, {"scalar": float(rng.normal())}), (r, c))
+        readable.append(out)
+        if rng.random() < 0.2:
+            buf.mark_host_read(out)
+            take(buf.flush("host_read"))
+    take(buf.flush("end_of_stream"))
+    return g, inputs, groups
 
 
 def _pick(rng, pool):

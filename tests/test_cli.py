@@ -112,6 +112,26 @@ def test_run_stream_fused_chain_trace(tmp_path):
     assert "RESULT PASS" in text
 
 
+def test_run_stream_incompatible_flush_stores_what_the_pending_op_reads(tmp_path):
+    trace = "\n".join(
+        json.dumps(ev)
+        for ev in [
+            {"event": "tensor", "id": "x", "dtype": "f32", "shape": [8, 16], "seed": 1},
+            {"event": "tensor", "id": "w", "dtype": "f32", "shape": [16, 8], "seed": 2},
+            {"event": "op", "kind": "abs", "in": ["x"], "out": "a"},
+            {"event": "op", "kind": "sqrt", "in": ["a"], "out": "b"},
+            {"event": "op", "kind": "matmul", "in": ["a", "w"], "out": "c"},
+            {"event": "host_read", "tensor": "c"},
+            {"event": "end"},
+        ]
+    )
+    path = _write(tmp_path, "t.trace", trace)
+    code, text = _run(["run", path, "--mode", "stream", "--check"])
+    assert "reason=incompatible vv-pattern{abs,sqrt} stores=a,b" in text
+    assert "RESULT PASS" in text
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("taken", [True, False])
 def test_run_stream_if_else_add_both_branches(tmp_path, taken):
     trace = "\n".join(

@@ -19,8 +19,9 @@ from tilevm import (
     run_core,
     simulate_timing,
 )
+from tilevm import device as device_mod, isa
 from tilevm.device import VMError, tile_range
-from tilevm.isa import CmpType, sync_set, sync_wait
+from tilevm.isa import CmpType, decode_instruction, sync_set, sync_wait
 
 from helpers import oracle_env, random_vector_graph, run_static
 
@@ -197,6 +198,25 @@ def _simple_program(total_tiles, block_dim, tile=8, dtype=DType.F32):
         [load, sync_set(0, Queue.DMA), sync_wait(0, Queue.VECTOR), muls,
          sync_set(1, Queue.VECTOR), sync_wait(1, Queue.DMA), store],
     )
+
+
+@pytest.mark.parametrize("block_dim", [1, 3, 8])
+def test_dispatch_decodes_each_record_once(monkeypatch, block_dim):
+    program = _simple_program(8, block_dim)
+    offsets = [off for off, _ in program.walk()]
+    calls = []
+
+    def counting(buf, offset=0):
+        calls.append(offset)
+        return decode_instruction(buf, offset)
+
+    # the VM may look the decoder up under either module's name
+    monkeypatch.setattr(isa, "decode_instruction", counting)
+    monkeypatch.setattr(device_mod, "decode_instruction", counting)
+    device = DeviceState(8, 4096, 1 << 16)
+    stats = dispatch(program, device, cfg=DeviceConfig(num_cores=8), debug=True)
+    assert stats.tiles_executed == 8
+    assert calls == offsets
 
 
 def test_dispatch_distributes_tiles():

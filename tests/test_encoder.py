@@ -18,9 +18,10 @@ from tilevm import (
 )
 from tilevm.encoder import AllocationError, EncoderError, bind_and_run, run_groups
 from tilevm.graph import decompose
+from tilevm.oracle import compare
 from tilevm.isa import Queue, sync_set, sync_wait, VirtualInstruction
 
-from helpers import direct_layernorm
+from helpers import direct_layernorm, oracle_env
 
 CFG = DeviceConfig()
 
@@ -296,7 +297,7 @@ def test_strided_input_view_load():
     assert any(k == "ViewLoad" for k in stats.instruction_counts)
 
 
-def test_run_groups_pipelined_matches_sequential():
+def test_run_groups_matches_oracle():
     rng = np.random.default_rng(9)
     g = OperatorGraph()
     g.tensor("a", "f32", (16, 32))
@@ -304,22 +305,26 @@ def test_run_groups_pipelined_matches_sequential():
     g.tensor("c", "f32", (16, 32))
     g.tensor("d", "f32", (16, 1))
     g.tensor("e", "f32", (16, 32))
+    g.tensor("w", "f32", (32, 8))
+    g.tensor("f", "f32", (16, 8))
     g.op("mul", ["a", "b"], "c")
     g.op("sum", ["c"], "d")
-    g.op("matmul", ["c", "b2"], "f") if False else None
     g.op("broadcast", ["d"], "e", size=32)
-    g.set_outputs(["e"])
+    g.op("matmul", ["e", "w"], "f")
+    g.set_outputs(["e", "f"])
     inputs = {
-        "a": rng.uniform(-1, 1, (16, 32)).astype(np.float32),
-        "b": rng.uniform(-1, 1, (16, 32)).astype(np.float32),
+        t: rng.uniform(-1, 1, g.tensors[t].shape).astype(np.float32)
+        for t in ("a", "b", "w")
     }
     groups = fuse_static(g)
-    d1 = DeviceState.from_config(CFG)
-    r1, _ = run_groups(groups, d1, CFG, inputs, overlap=True)
-    d2 = DeviceState.from_config(CFG)
-    r2, _ = run_groups(groups, d2, CFG, inputs, overlap=False)
-    for tid in r1:
-        assert np.array_equal(r1[tid], r2[tid], equal_nan=True)
+    assert len(groups) == 2
+    device = DeviceState.from_config(CFG)
+    results, stats = run_groups(groups, device, CFG, inputs, debug=True)
+    assert len(stats) == len(groups)
+    env = oracle_env(g, inputs)
+    for tid in g.outputs:
+        report = compare(results[tid], env[tid].data, 1e-3, 1e-3)
+        assert report.passed, (tid, report.max_abs_err)
 
 
 def test_encode_latency_budget():

@@ -3,16 +3,19 @@ import pytest
 
 from tilevm import (
     DeviceConfig,
+    DeviceState,
     DType,
     OperatorGraph,
     can_merge_iteration,
     fuse_static,
     plan_stacking,
 )
+from tilevm.encoder import run_groups
 from tilevm.fuser import FusedGroup, FusionBuffer
 from tilevm.graph import BasicOp, GraphError, TensorMeta, decompose
+from tilevm.oracle import compare
 
-from helpers import run_static
+from helpers import oracle_env, random_stream, run_static
 
 
 def _sym_graph():
@@ -278,6 +281,30 @@ def test_capacity_flush():
     flushed = buf.push(BasicOp("abs", ("t2",), "t3"), [_meta("t3", (4,))])
     assert len(flushed) == 1 and flushed[0].flush_reason == "capacity"
     assert len(flushed[0].ops) == 3
+
+
+def test_capacity_flush_stores_what_the_pending_op_reads():
+    buf = FusionBuffer(capacity=2)
+    buf.push(BasicOp("abs", ("x",), "a"), [_meta("x", (4,)), _meta("a", (4,))])
+    buf.push(BasicOp("sqrt", ("a",), "b"), [_meta("b", (4,))])
+    flushed = buf.push(BasicOp("add", ("a", "b"), "c"), [_meta("c", (4,))])
+    assert len(flushed) == 1 and flushed[0].flush_reason == "capacity"
+    assert flushed[0].stores == ["a", "b"]
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+def test_random_stream_groups_match_oracle(capacity):
+    rng = np.random.default_rng(100 + capacity)
+    cfg = DeviceConfig(num_cores=8)
+    for _ in range(10):
+        g, inputs, groups = random_stream(rng, capacity)
+        device = DeviceState.from_config(cfg)
+        results, _ = run_groups(groups, device, cfg, inputs, debug=True)
+        env = oracle_env(g, inputs)
+        for group in groups:
+            for tid in group.stores:
+                report = compare(results[tid], env[tid].data, 1e-3, 1e-3)
+                assert report.passed, (group.describe(), tid, report.max_abs_err)
 
 
 def test_stream_statelessness_reproduces_groups():
