@@ -39,6 +39,7 @@ from .encoder import (
     LocalAllocation,
     allocate_local,
     bind_and_run,
+    bind_group,
     compile_group,
     run_groups,
     tile_for_group,

@@ -15,8 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .device import DeviceState
-from .encoder import compile_group, run_groups, tile_for_group
+from .device import DeviceState, VMError
+from .encoder import (
+    EncoderError,
+    bind_group,
+    compile_group,
+    run_groups,
+    tile_for_group,
+)
 from .fuser import FusedGroup, FusionBuffer, fuse_static
 from .graph import (
     BasicOp,
@@ -28,7 +34,7 @@ from .graph import (
     decompose,
     unify_shapes,
 )
-from .isa import CmpType, DType, disassemble
+from .isa import NP_DTYPES, CmpType, DType, disassemble
 from .oracle import RefTensor, compare, ref_execute
 from .tiler import DeviceConfig, InfeasibleTilingError, tiling_cost
 
@@ -36,6 +42,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INFEASIBLE = 3
+EXIT_COMPILE_OR_RUN = 4
 
 
 class ParseError(ValueError):
@@ -48,8 +55,7 @@ def _gen_data(meta: TensorMeta, shape: tuple[int, ...], seed: int) -> np.ndarray
         return rng.integers(-100, 100, size=shape).astype(np.int32)
     if meta.dtype == DType.U8:
         return rng.integers(0, 2, size=shape).astype(np.uint8)
-    data = rng.uniform(-1.0, 1.0, size=shape)
-    return data.astype(np.float16 if meta.dtype == DType.F16 else np.float32)
+    return rng.uniform(-1.0, 1.0, size=shape).astype(NP_DTYPES[meta.dtype])
 
 
 def _parse_attrs(raw: dict) -> dict:
@@ -177,7 +183,16 @@ def _make_config(args) -> DeviceConfig:
     )
 
 
-def _print_group_reports(groups, cfg, out) -> None:
+def _print_costs(tg, cfg, out) -> None:
+    """The cost model at the chosen tile and one hardware width either side."""
+    width = cfg.width_elems(tg.dtype_bytes)
+    for size in (tg.tile_elems - width, tg.tile_elems, tg.tile_elems + width):
+        if size >= 1:
+            cost = tiling_cost(size, tg.total_elems, cfg.num_cores, cfg.tile_overhead)
+            print(f"  cost[{size}]={cost:.6g}", file=out)
+
+
+def _print_group_reports(groups, cfg, out, costs: bool = False) -> None:
     for i, group in enumerate(groups):
         tg = tile_for_group(group, cfg)
         if tg.kind == "vector":
@@ -186,6 +201,8 @@ def _print_group_reports(groups, cfg, out) -> None:
                 f"tiles={tg.tiles} tail={tg.tail_elems} t_max={tg.t_max}",
                 file=out,
             )
+            if costs:
+                _print_costs(tg, cfg, out)
         else:
             print(
                 f"group {i}: {group.describe()} tm={tg.tm} tn={tg.tn} "
@@ -333,33 +350,7 @@ def _load_trace(path: str) -> list[dict]:
 def cmd_tile(args, out=sys.stdout) -> int:
     loaded = load_graph_file(args.path, args.seed)
     cfg = _make_config(args)
-    groups = fuse_static(loaded.graph)
-    for i, group in enumerate(groups):
-        tg = tile_for_group(group, cfg)
-        if tg.kind == "vector":
-            print(
-                f"group {i}: {group.describe()} tile={tg.tile_elems} "
-                f"tiles={tg.tiles} tail={tg.tail_elems} t_max={tg.t_max}",
-                file=out,
-            )
-            width = cfg.width_elems(tg.dtype_bytes)
-            for size in (
-                tg.tile_elems - width,
-                tg.tile_elems,
-                tg.tile_elems + width,
-            ):
-                if 1 <= size:
-                    cost = tiling_cost(
-                        size, tg.total_elems, cfg.num_cores, cfg.tile_overhead
-                    )
-                    print(f"  cost[{size}]={cost:.6g}", file=out)
-        else:
-            print(
-                f"group {i}: {group.describe()} tm={tg.tm} tn={tg.tn} "
-                f"k_chunk={tg.k_chunk} grid={tg.grid[0]}x{tg.grid[1]} "
-                f"order={tg.order.name.lower()} tiles={tg.tiles}",
-                file=out,
-            )
+    _print_group_reports(fuse_static(loaded.graph), cfg, out, costs=True)
     return EXIT_OK
 
 
@@ -374,15 +365,9 @@ def cmd_disasm(args, out=sys.stdout) -> int:
     loaded = load_graph_file(args.path, args.seed)
     cfg = _make_config(args)
     device = DeviceState.from_config(cfg)
-    from .encoder import _bind_resolved
-
     for i, group in enumerate(fuse_static(loaded.graph)):
         tg = tile_for_group(group, cfg)
-        sub = tg.graph
-        for tid in sub.graph_input_ids():
-            _bind_resolved(device, sub, tid)
-        for tid in sub.outputs:
-            _bind_resolved(device, sub, tid)
+        bind_group(device, tg.graph)
         program = compile_group(group, tg, cfg)
         print(f"; group {i}: {group.describe()}", file=out)
         print(disassemble(program), end="", file=out)
@@ -455,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleTilingError as exc:
         print(f"error: infeasible tiling: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (EncoderError, VMError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_COMPILE_OR_RUN
 
 
 if __name__ == "__main__":

@@ -23,19 +23,13 @@ from .isa import (
     CmpType,
     DType,
     InstructionKind,
+    NP_DTYPES,
     Queue,
     VirtualInstruction,
     decode_instruction,  # noqa: F401  (perfbench/tracing.py counts calls here)
     decompose_tile_index,
 )
 from .tiler import DeviceConfig
-
-_NP = {
-    DType.F16: np.float16,
-    DType.F32: np.float32,
-    DType.I32: np.int32,
-    DType.U8: np.uint8,
-}
 
 
 class VMError(RuntimeError):
@@ -101,7 +95,10 @@ class DeviceState:
         """
         addr = self.bindings.get(meta.id)
         if addr is None:
-            addr = self.alloc_global(nbytes if nbytes is not None else meta.nbytes)
+            try:
+                addr = self.alloc_global(nbytes if nbytes is not None else meta.nbytes)
+            except VMError as exc:
+                raise VMError(f"tensor {meta.id}: {exc}") from None
             self.bindings[meta.id] = addr
         meta.addr = addr
         if data is not None:
@@ -114,7 +111,7 @@ class DeviceState:
     def write_global(self, addr: int, data: np.ndarray, dtype: DType) -> None:
         flat = np.ascontiguousarray(data).ravel()
         view = self._global_view(addr, flat.size, dtype)
-        view[:] = flat.astype(_NP[dtype])
+        view[:] = flat.astype(NP_DTYPES[dtype])
 
     def read_global(self, addr: int, count: int, dtype: DType) -> np.ndarray:
         return self._global_view(addr, count, dtype).copy()
@@ -132,7 +129,7 @@ class DeviceState:
         nbytes = count * dtype.nbytes
         if addr < 0 or addr + nbytes > len(self.global_mem):
             raise VMError(f"global access [{addr}, {addr + nbytes}) out of bounds")
-        return self.global_mem[addr : addr + nbytes].view(_NP[dtype])
+        return self.global_mem[addr : addr + nbytes].view(NP_DTYPES[dtype])
 
 
 @dataclass
@@ -168,7 +165,7 @@ def _local_view(core: Core, offset: int, count: int, dtype: DType) -> np.ndarray
             f"core {core.index}: local access [{offset}, {offset + nbytes}) "
             f"out of bounds"
         )
-    return core.local[offset : offset + nbytes].view(_NP[dtype])
+    return core.local[offset : offset + nbytes].view(NP_DTYPES[dtype])
 
 
 def _operand_dtype(core: Core, offset: int, kind: InstructionKind) -> DType:
@@ -193,9 +190,9 @@ def _write_quantized(
         if dtype in (DType.I32, DType.U8):
             vals = np.trunc(values)
             vals = np.where(np.isfinite(vals) & (np.abs(vals) < 2.0**62), vals, 0.0)
-            view[:] = vals.astype(np.int64).astype(_NP[dtype])
+            view[:] = vals.astype(np.int64).astype(NP_DTYPES[dtype])
         else:
-            view[:] = values.astype(_NP[dtype])
+            view[:] = values.astype(NP_DTYPES[dtype])
     core.dtypes[offset] = dtype
 
 
@@ -450,7 +447,7 @@ def _exec_matmul(insn, tile, core, device, stats) -> None:
     out = _local_view(core, insn.dst, m * n, dtype).reshape(m, n)
     if ex["acc"]:
         acc = out[:m_eff, :n_eff].astype(np.float32) + acc
-    out[:m_eff, :n_eff] = acc.astype(_NP[dtype])
+    out[:m_eff, :n_eff] = acc.astype(NP_DTYPES[dtype])
     core.dtypes[insn.dst] = dtype
 
 

@@ -30,6 +30,7 @@ from .isa import (
 )
 from .tiler import (
     DeviceConfig,
+    InfeasibleTilingError,
     TiledGraph,
     tile_cube_vector,
     tile_matmul,
@@ -704,7 +705,7 @@ def _lower(tg: TiledGraph) -> _Lowering:
     return _CubeLowerer(tg).lower()
 
 
-def _allocate(lowering: _Lowering, local_mem_bytes: int) -> LocalAllocation:
+def _allocate(lowering: _Lowering) -> LocalAllocation:
     protos, buffers = lowering.protos, lowering.buffers
 
     def touched(p: _Proto) -> set[str]:
@@ -729,16 +730,26 @@ def _allocate(lowering: _Lowering, local_mem_bytes: int) -> LocalAllocation:
             if last_use.get(name) == i and name in slots:
                 off, size = slots[name]
                 arena.release(off, size)
-    if high > local_mem_bytes:
-        raise AllocationError(
-            f"local allocation needs {high} bytes, core has {local_mem_bytes}"
-        )
     return LocalAllocation(slots, high)
+
+
+def _lower_and_fit(
+    tg: TiledGraph, local_mem_bytes: int
+) -> tuple[_Lowering, LocalAllocation]:
+    lowering = _lower(tg)
+    alloc = _allocate(lowering)
+    if alloc.high_water > local_mem_bytes:
+        ops = ",".join(op.kind for op in tg.graph.ops)
+        raise AllocationError(
+            f"{tg.kind} group {{{ops}}}: local allocation needs "
+            f"{alloc.high_water} bytes, core has {local_mem_bytes}"
+        )
+    return lowering, alloc
 
 
 def allocate_local(tg: TiledGraph, local_mem_bytes: int) -> LocalAllocation:
     """Place every tile buffer of the group in local memory (first-fit reuse)."""
-    return _allocate(_lower(tg), local_mem_bytes)
+    return _lower_and_fit(tg, local_mem_bytes)[1]
 
 
 _SYNCABLE = {
@@ -878,10 +889,14 @@ _KERNEL_FOR = {
 
 
 def compile_group(group, tg: TiledGraph, cfg: DeviceConfig) -> BytecodeProgram:
-    """Encode one tiled fused group into a dispatchable bytecode program."""
-    lowering = _lower(tg)
-    alloc = _allocate(lowering, cfg.local_mem_bytes)
-    assert alloc.high_water <= cfg.local_mem_bytes
+    """Encode one tiled fused group into a dispatchable bytecode program.
+
+    A ``TiledGraph`` from ``tile_for_group`` carries its accepted lowering,
+    so only a hand-made one is lowered here.
+    """
+    lowering, alloc = tg.lowering, tg.alloc
+    if lowering is None:
+        lowering, alloc = _lower_and_fit(tg, cfg.local_mem_bytes)
     insns = _emit(lowering, alloc, tg.graph)
     validate_sync(insns)
     header = ProgramHeader(
@@ -894,12 +909,40 @@ def compile_group(group, tg: TiledGraph, cfg: DeviceConfig) -> BytecodeProgram:
 
 
 def tile_for_group(group, cfg: DeviceConfig) -> TiledGraph:
+    """Tile and lower one group; the allocator judges whether a tile fits.
+
+    Matmul groups are sized by the cube tiler's own budget.  A vector group
+    is tiled by the cost model alone and lowered; if its allocation
+    overflows local memory, the rows per tile are capped at what that
+    allocation measured and the group is tiled and lowered again, until it
+    fits or cannot shrink.  The accepted lowering and allocation ride on
+    the result, and ``t_max`` is the largest tile their measured bytes per
+    row allow.
+    """
     sub = group.subgraph()
-    if any(op.is_matmul for op in sub.ops):
-        if len(sub.ops) > 1:
-            return tile_cube_vector(sub, cfg)
-        return tile_matmul(sub, cfg)
-    return tile_vector_graph(sub, cfg)
+    budget = cfg.local_mem_bytes
+    if not sub.is_vector_only:
+        tg = tile_cube_vector(sub, cfg) if len(sub.ops) > 1 else tile_matmul(sub, cfg)
+        tg.lowering, tg.alloc = _lower_and_fit(tg, budget)
+        return tg
+    tg = tile_vector_graph(sub, cfg)
+    while True:
+        lowering = _lower(tg)
+        alloc = _allocate(lowering)
+        if alloc.high_water <= budget:
+            break
+        rows = tg.rows_per_tile
+        smaller = tile_vector_graph(sub, cfg, rows * budget // alloc.high_water)
+        if smaller.rows_per_tile >= rows:
+            raise InfeasibleTilingError(
+                f"group {group.describe()}: its smallest legal tile of "
+                f"{tg.tile_elems} elems needs {alloc.high_water} bytes of local "
+                f"memory, core has {budget}"
+            )
+        tg = smaller
+    tg.lowering, tg.alloc = lowering, alloc
+    tg.t_max = tg.row_size * (budget * tg.rows_per_tile // alloc.high_water)
+    return tg
 
 
 def bind_and_run(
@@ -932,23 +975,26 @@ def run_groups(
     results: dict[str, np.ndarray] = {}
     for group in groups:
         tg = tile_for_group(group, cfg)
-        sub = tg.graph
-        for tid in sub.graph_input_ids():
-            data = inputs.get(tid) if not device.is_bound(sub.tensors[tid]) else None
-            _bind_resolved(device, sub, tid, data)
-        for tid in sub.outputs:
-            _bind_resolved(device, sub, tid)
+        bind_group(device, tg.graph, inputs)
         program = compile_group(group, tg, cfg)
         all_stats.append(dispatch(program, device, cfg=cfg, debug=debug))
         _collect(device, tg, results)
     return results, all_stats
 
 
-def _bind_resolved(device: DeviceState, g: OperatorGraph, tid: str, data=None) -> None:
-    meta = g.tensors[tid]
-    shape = g.resolved_shape(tid)
-    nbytes = prod(shape) * meta.dtype.nbytes
-    device.bind(meta, data, nbytes=nbytes)
+def bind_group(
+    device: DeviceState, sub: OperatorGraph, inputs: dict | None = None
+) -> None:
+    """Bind a group's inputs, then its stores, at their resolved sizes.
+
+    An input bound here for the first time gets its data from ``inputs``.
+    """
+    inputs = inputs or {}
+    for tid in sub.graph_input_ids() + sub.outputs:
+        meta = sub.tensors[tid]
+        data = None if device.is_bound(meta) else inputs.get(tid)
+        nbytes = prod(sub.resolved_shape(tid)) * meta.dtype.nbytes
+        device.bind(meta, data, nbytes=nbytes)
 
 
 def _collect(device: DeviceState, tg: TiledGraph, results: dict) -> None:

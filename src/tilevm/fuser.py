@@ -128,29 +128,29 @@ class _GroupBuilder:
             )
 
 
-def _creates_cycle(
-    op: BasicOp, group_ops: set[str], g: OperatorGraph
-) -> bool:
-    """Would adding ``op`` to the group route a path out of and back into it?"""
+def _creates_cycle(op: BasicOp, group: list[BasicOp], g: OperatorGraph) -> bool:
+    """Would adding ``op`` to the group route a path out of and back into it?
+
+    Only ops added after the group's first op can read from the group, so
+    the walk never goes below it.
+    """
+    members = {member.output for member in group}
+    first = g.position(group[0])
+    stack = [
+        p
+        for p in map(g.producer, op.inputs)
+        if p is not None and p.output not in members
+    ]
     seen: set[str] = set()
-
-    def depends_on_group(tid: str) -> bool:
-        producer = g.producer(tid)
-        if producer is None:
-            return False
-        if producer.output in group_ops:
-            return True
-        if producer.output in seen:
-            return False
-        seen.add(producer.output)
-        return any(depends_on_group(t) for t in producer.inputs)
-
-    for tid in op.inputs:
-        producer = g.producer(tid)
-        if producer is None or producer.output in group_ops:
-            continue
-        if any(depends_on_group(t) for t in producer.inputs):
-            return True
+    while stack:
+        for tid in stack.pop().inputs:
+            p = g.producer(tid)
+            if p is None or p.output in seen or g.position(p) < first:
+                continue
+            if p.output in members:
+                return True
+            seen.add(p.output)
+            stack.append(p)
     return False
 
 
@@ -183,9 +183,7 @@ def fuse_static(g: OperatorGraph) -> list[FusedGroup]:
         placed = False
         if not op.is_matmul:
             for builder in reversed(builders):
-                if builder.accepts(op) and not _creates_cycle(
-                    op, builder.produced(), g
-                ):
+                if builder.accepts(op) and not _creates_cycle(op, builder.ops, g):
                     builder.add(op)
                     placed = True
                     break
@@ -359,7 +357,7 @@ class FusionBuffer:
             flushed.extend(self.flush("capacity"))
         if self._open and not (
             self._open.accepts(op)
-            and not _creates_cycle(op, self._open.produced(), self.graph)
+            and not _creates_cycle(op, self._open.ops, self.graph)
         ):
             flushed.extend(self.flush("incompatible"))
         if self._open is None:

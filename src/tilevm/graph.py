@@ -231,6 +231,7 @@ class OperatorGraph:
         self.outputs: list[str] = []
         self._producers: dict[str, BasicOp] = {}
         self._consumers: dict[str, list[BasicOp]] = {}
+        self._position: dict[str, int] = {}  # produced tensor id -> op index
 
     def add_tensor(self, meta: TensorMeta) -> TensorMeta:
         if meta.id in self.tensors:
@@ -267,6 +268,7 @@ class OperatorGraph:
         return op
 
     def _append(self, op: BasicOp) -> None:
+        self._position[op.output] = len(self.ops)
         self.ops.append(op)
         self._producers[op.output] = op
         for tid in dict.fromkeys(op.inputs):
@@ -323,6 +325,10 @@ class OperatorGraph:
 
     def producer(self, tid: str) -> BasicOp | None:
         return self._producers.get(tid)
+
+    def position(self, op: BasicOp) -> int:
+        """Index of ``op`` in ``ops``; inputs always come from lower ones."""
+        return self._position[op.output]
 
     def consumers(self, tid: str) -> list[BasicOp]:
         """Ops that read ``tid``, in the order they were added."""

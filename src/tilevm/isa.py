@@ -23,6 +23,8 @@ from functools import cached_property
 from math import ceil
 from typing import Iterator
 
+import numpy as np
+
 
 class DType(IntEnum):
     """Element type codes carried by memory and cast instructions."""
@@ -46,6 +48,12 @@ class DType(IntEnum):
 
 _DTYPE_BYTES = {DType.F16: 2, DType.F32: 4, DType.I32: 4, DType.U8: 1}
 _DTYPE_NAMES = {"f16": DType.F16, "f32": DType.F32, "i32": DType.I32, "u8": DType.U8}
+NP_DTYPES = {
+    DType.F16: np.float16,
+    DType.F32: np.float32,
+    DType.I32: np.int32,
+    DType.U8: np.uint8,
+}
 
 
 class CmpType(IntEnum):

@@ -13,14 +13,7 @@ from math import prod
 import numpy as np
 
 from .graph import OperatorGraph
-from .isa import CmpType, DType
-
-NP_DTYPES = {
-    DType.F16: np.float16,
-    DType.F32: np.float32,
-    DType.I32: np.int32,
-    DType.U8: np.uint8,
-}
+from .isa import NP_DTYPES, CmpType, DType
 
 
 @dataclass

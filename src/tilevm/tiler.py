@@ -8,7 +8,7 @@ instruction width.  No hardware measurement is involved anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, gcd, prod
 
 from .graph import (
@@ -16,9 +16,9 @@ from .graph import (
     OperatorGraph,
     REDUCTION_KINDS,
     dominant_shape,
-    peak_live_count,
+    peak_live_count,  # noqa: F401  (perfbench/tracing.py wraps it here)
 )
-from .isa import DType, TileOrder, decompose_tile_index
+from .isa import DType, TileOrder
 
 
 class InfeasibleTilingError(ValueError):
@@ -41,7 +41,6 @@ class DeviceConfig:
     cube_cost_per_mac: float = 1.0
     sync_cost: float = 2.0
     tile_overhead: float = 2.0  # the "+2" per-tile term of the cost model
-    model_slab_reuse: bool = False  # swizzle selection models inter-tile reuse
 
     def __post_init__(self) -> None:
         if min(self.num_cores, self.local_mem_bytes, self.instr_width_bytes) < 1:
@@ -149,7 +148,9 @@ class TiledGraph:
     grid: tuple[int, int] = (0, 0)
     order: TileOrder = TileOrder.ROW_MAJOR
     mkn: tuple[int, int, int] = (0, 0, 0)
-    op_tile_extents: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    # set by encoder.tile_for_group: the accepted lowering and its allocation
+    lowering: object | None = None
+    alloc: object | None = None
 
     @property
     def tail_elems(self) -> int:
@@ -191,33 +192,30 @@ def _protection_boundary(g: OperatorGraph, dom: tuple[int, ...]) -> int:
     return max(boundary, 0)
 
 
-def tile_vector_graph(g: OperatorGraph, cfg: DeviceConfig) -> TiledGraph:
+def tile_vector_graph(
+    g: OperatorGraph, cfg: DeviceConfig, max_rows: int | None = None
+) -> TiledGraph:
     """Tile a vector-only graph over its flattened dominant iteration space.
 
-    Tiling keeps going while the tile exceeds the per-buffer local-memory
-    limit or while there are fewer tiles than cores; purely element-wise
-    contiguous graphs flatten to 1-D so the whole space is fair game.
+    The cost model picks the tile, with at most ``max_rows`` rows when
+    given, but never fewer than one hardware-width vector needs; whether it
+    fits local memory is the allocator's call (see
+    ``encoder.tile_for_group``).  Purely element-wise contiguous graphs
+    flatten to 1-D, so the whole space is fair game.
     """
     if not g.is_vector_only:
         raise GraphError("tile_vector_graph requires a vector-only graph")
     dom = dominant_shape(g)
-    n_max = peak_live_count(g)
     dtype_bytes = max(g.tensors[t].dtype.nbytes for t in g.touched_tensor_ids())
-    t_max = cfg.local_mem_bytes // (n_max * dtype_bytes)
     total = prod(dom)
-    width = cfg.width_elems(dtype_bytes)
-    if t_max < min(width, total):
-        raise InfeasibleTilingError(
-            f"tile limit {t_max} elems cannot hold one hardware-width vector "
-            f"for {n_max} live buffers"
-        )
     boundary = _protection_boundary(g, dom)
     row_size = prod(dom[boundary:]) if boundary < len(dom) else 1
-    if row_size > t_max:
-        raise InfeasibleTilingError(
-            f"reduction/broadcast row of {row_size} elems exceeds tile limit {t_max}"
-        )
     total_rows = total // row_size
+    cap = total_rows
+    if max_rows is not None:
+        min_rows = ceil(min(cfg.width_elems(dtype_bytes), total) / row_size)
+        cap = min(cap, max(max_rows, min_rows))
+    t_max = row_size * cap
     t = hardware_align_div(t_max, row_size, total, cfg, dtype_bytes)
     tile = t * row_size
     tiles = ceil(total / tile)
@@ -238,12 +236,6 @@ def tile_vector_graph(g: OperatorGraph, cfg: DeviceConfig) -> TiledGraph:
         rows_per_tile=t,
         row_size=row_size,
     )
-    for op in g.ops:
-        rank = len(dom)
-        out_shape = _aligned_shape(g.resolved_shape(op.output), rank)
-        out_rows = prod(out_shape[:boundary]) if boundary else 1
-        # (rows of the flattened spatial space, then the op's in-row extents)
-        tg.op_tile_extents[op.output] = (min(t, out_rows),) + out_shape[boundary:]
     tg.check()
     return tg
 
@@ -258,33 +250,6 @@ def _matmul_budget(
 
 def _align16_floor(x: int) -> int:
     return max(16, (x // 16) * 16)
-
-
-def _select_order(
-    grid: tuple[int, int], tm: int, tn: int, k: int, in_bytes: int, cfg: DeviceConfig
-) -> TileOrder:
-    """Pick the swizzle minimizing modeled operand-reload bytes.
-
-    Without inter-tile slab reuse every order moves the same bytes, so the
-    default model always ties and row-major wins.
-    """
-    if not cfg.model_slab_reuse:
-        return TileOrder.ROW_MAJOR
-    gr, gc = grid
-    a_bytes, b_bytes = tm * k * in_bytes, k * tn * in_bytes
-
-    def reload(order: TileOrder) -> int:
-        prev = None
-        total = 0
-        for idx in range(gr * gc):
-            ti, tj = decompose_tile_index(idx, grid, order)
-            total += a_bytes if prev is None or prev[0] != ti else 0
-            total += b_bytes if prev is None or prev[1] != tj else 0
-            prev = (ti, tj)
-        return total
-
-    candidates = [TileOrder.ROW_MAJOR, TileOrder.COL_MAJOR, TileOrder.BLOCK_ZIGZAG]
-    return min(candidates, key=lambda o: (reload(o), int(o)))
 
 
 def _tile_matmul_shapes(
@@ -340,8 +305,7 @@ def tile_matmul(
     _, n = g.resolved_shape(b.id)
     tm, tn, kc = _tile_matmul_shapes(m, k, n, a.dtype, out.dtype, cfg, extra_bufs)
     grid = (ceil(m / tm), ceil(n / tn))
-    order = _select_order(grid, tm, tn, k, a.dtype.nbytes, cfg)
-    tg = TiledGraph(
+    return TiledGraph(
         kind=kind,
         graph=g,
         tile_elems=tm * tn,
@@ -353,12 +317,8 @@ def tile_matmul(
         tn=tn,
         k_chunk=kc,
         grid=grid,
-        order=order,
         mkn=(m, k, n),
     )
-    for op in g.ops:
-        tg.op_tile_extents[op.output] = (tm, tn)
-    return tg
 
 
 def tile_cube_vector(g: OperatorGraph, cfg: DeviceConfig) -> TiledGraph:

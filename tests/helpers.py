@@ -19,14 +19,7 @@ from tilevm import (
 from tilevm.encoder import run_groups
 from tilevm.fuser import FusedGroup, FusionBuffer
 from tilevm.graph import BasicOp, TensorMeta, decompose
-from tilevm.isa import SCHEMAS
-
-NP_OF = {
-    DType.F16: np.float16,
-    DType.F32: np.float32,
-    DType.I32: np.int32,
-    DType.U8: np.uint8,
-}
+from tilevm.isa import NP_DTYPES, SCHEMAS
 
 
 # --- bytecode fuzzing ---------------------------------------------------------
@@ -298,7 +291,7 @@ def _random_data(rng, shape, dtype: DType) -> np.ndarray:
         return rng.integers(-50, 50, size=shape).astype(np.int32)
     if dtype == DType.U8:
         return rng.integers(0, 2, size=shape).astype(np.uint8)
-    return rng.uniform(-1.0, 1.0, size=shape).astype(NP_OF[dtype])
+    return rng.uniform(-1.0, 1.0, size=shape).astype(NP_DTYPES[dtype])
 
 
 def compound_graph(

@@ -30,6 +30,7 @@ from tilevm import (
     tile_vector_graph,
 )
 from tilevm.device import tile_range
+from tilevm.encoder import bind_group
 from tilevm.fuser import FusionBuffer
 from tilevm.graph import BasicOp, TensorMeta
 from tilevm.isa import decode_instruction, decode_program, encode_instruction
@@ -307,10 +308,7 @@ def test_criterion_7_decode_hiding():
         base_cfg = DeviceConfig(num_cores=4)
         tg = tile_for_group(fuse_static(g)[0], base_cfg)
         device = DeviceState.from_config(base_cfg)
-        from tilevm.encoder import _bind_resolved
-
-        for tid in ("a", "b", "d"):
-            _bind_resolved(device, tg.graph, tid)
+        bind_group(device, tg.graph)
         program = compile_group(fuse_static(g)[0], tg, base_cfg)
         insns = program.instructions()
         n_records = len(insns)
@@ -346,11 +344,7 @@ def test_criterion_8_compile_latency_budget():
         groups = fuse_static(g)
         assert len(groups) == 1 and len(groups[0].ops) == 10
         device = DeviceState.from_config(cfg)
-        from tilevm.encoder import _bind_resolved
-
-        tg0 = tile_for_group(groups[0], cfg)
-        for tid in ("x0", "x10"):
-            _bind_resolved(device, tg0.graph, tid)
+        bind_group(device, tile_for_group(groups[0], cfg).graph)
         samples = []
         for _ in range(50):
             t0 = time.perf_counter()

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from tilevm.cli import (
+    EXIT_COMPILE_OR_RUN,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -202,6 +203,23 @@ def test_parse_error_exit_code(tmp_path):
 def test_infeasible_exit_code(tmp_path):
     path = _write(tmp_path, "g.json", GOLDEN_ADD)
     assert main(["run", path, "--local-mem", "16"]) == EXIT_INFEASIBLE
+
+
+def test_encoder_error_exit_code_names_the_op(tmp_path, capsys):
+    doc = {
+        "tensors": [
+            {"id": "a", "dtype": "f16", "shape": [4, 8], "seed": 1},
+            {"id": "b", "dtype": "f32", "shape": [4, 8], "seed": 2},
+            {"id": "c", "dtype": "f32", "shape": [4, 8]},
+        ],
+        "ops": [{"kind": "add", "in": ["a", "b"], "out": "c"}],
+        "outputs": ["c"],
+    }
+    path = _write(tmp_path, "g.json", doc)
+    for command in ("run", "tile", "disasm", "bench"):
+        assert main([command, path]) == EXIT_COMPILE_OR_RUN
+        err = capsys.readouterr().err
+        assert err.startswith("error: EncoderError: add 'c': mixed dtypes"), err
 
 
 def test_unknown_op_is_parse_error(tmp_path):

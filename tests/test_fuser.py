@@ -292,6 +292,25 @@ def test_capacity_flush_stores_what_the_pending_op_reads():
     assert flushed[0].stores == ["a", "b"]
 
 
+def test_cycle_check_stays_bounded_on_a_long_stream():
+    # every op also reads the last host-read tensor, whose producers reach
+    # back to the start of the stream; the cycle check must not walk them
+    buf = FusionBuffer()
+    buf.graph.add_tensor(_meta("x", (4,)))
+    prev = last = "x"
+    groups = []
+    for i in range(1000):
+        out = f"t{i}"
+        groups += buf.push(BasicOp("add", (prev, last), out), [_meta(out, (4,))])
+        prev = out
+        if i % 7 == 6:
+            buf.mark_host_read(out)
+            groups += buf.flush("host_read")
+            last = out
+    groups += buf.flush()
+    assert [len(g.ops) for g in groups] == [7] * 142 + [6]
+
+
 @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
 def test_random_stream_groups_match_oracle(capacity):
     rng = np.random.default_rng(100 + capacity)

@@ -11,8 +11,9 @@ from tilevm import (
     fuse_static,
     plan_stacking,
     tile_for_group,
+    tile_matmul,
 )
-from tilevm.encoder import _bind_resolved, bind_and_run, run_groups
+from tilevm.encoder import bind_and_run, bind_group, run_groups
 from tilevm.isa import TileOrder
 
 from helpers import oracle_env
@@ -102,13 +103,12 @@ def test_swizzle_orders_are_functionally_identical():
     results = []
     for order in (TileOrder.ROW_MAJOR, TileOrder.COL_MAJOR, TileOrder.BLOCK_ZIGZAG):
         groups = fuse_static(g)
-        tg = tile_for_group(groups[0], cfg)
+        # tiled but not lowered, so compile_group lowers it in this order
+        tg = tile_matmul(groups[0].subgraph(), cfg)
         tg.order = order
         device = DeviceState.from_config(cfg)
         sub = tg.graph
-        for tid in ("a", "b"):
-            _bind_resolved(device, sub, tid, inputs[tid])
-        _bind_resolved(device, sub, "o")
+        bind_group(device, sub, inputs)
         program = compile_group(groups[0], tg, cfg)
         from tilevm.device import dispatch
 
@@ -188,10 +188,7 @@ def test_stacked_plan_executes_and_matches_sequential():
     device = DeviceState.from_config(cfg)
     for grp in groups:
         tg = tile_for_group(grp, cfg)
-        for tid in tg.graph.graph_input_ids():
-            _bind_resolved(device, tg.graph, tid, inputs.get(tid))
-        for tid in tg.graph.outputs:
-            _bind_resolved(device, tg.graph, tid)
+        bind_group(device, tg.graph, inputs)
         tiled.append((grp, tg))
     plan = plan_stacking([(grp, tg.tiles) for grp, tg in tiled], cfg)
     assert plan.is_spatial

@@ -7,8 +7,10 @@ from tilevm import (
     DeviceConfig,
     InfeasibleTilingError,
     OperatorGraph,
+    fuse_static,
     hardware_align_div,
     tile_cube_vector,
+    tile_for_group,
     tile_matmul,
     tile_vector_graph,
     tiling_cost,
@@ -121,15 +123,15 @@ def test_tile_vector_graph_broadcast_dim_skipped():
     assert bcast.rows_per_tile == 1 and bcast.row_size == 20
 
 
-def test_tile_vector_graph_infeasible():
-    # t_max = 64 / (3 live * 4 B) = 5 elems < one 8-elem hardware vector
+def test_tile_for_group_infeasible():
+    # one 8-elem hardware vector of a, b and c needs 96 B; the core has 64
     g = _add_graph((64, 1024), (64, 1024), dtype="f32")
     cfg = DeviceConfig(num_cores=4, local_mem_bytes=64, instr_width_bytes=32)
     with pytest.raises(InfeasibleTilingError):
-        tile_vector_graph(g, cfg)
+        tile_for_group(fuse_static(g)[0], cfg)
 
 
-def test_tile_vector_graph_reduction_row_too_large():
+def test_tile_for_group_reduction_row_too_large():
     g = OperatorGraph()
     g.tensor("x", "f32", (2, 4096))
     g.tensor("s", "f32", (2, 1))
@@ -137,7 +139,7 @@ def test_tile_vector_graph_reduction_row_too_large():
     g.set_outputs(["s"])
     cfg = DeviceConfig(num_cores=4, local_mem_bytes=8 * 1024, instr_width_bytes=32)
     with pytest.raises(InfeasibleTilingError):
-        tile_vector_graph(g, cfg)
+        tile_for_group(fuse_static(g)[0], cfg)
 
 
 def test_partition_invariants_randomized():
