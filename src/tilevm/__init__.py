@@ -38,7 +38,6 @@ from .tiler import (
 from .encoder import (
     LocalAllocation,
     allocate_local,
-    bind_and_run,
     bind_group,
     compile_group,
     run_groups,

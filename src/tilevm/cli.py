@@ -188,7 +188,7 @@ def _print_costs(tg, cfg, out) -> None:
     width = cfg.width_elems(tg.dtype_bytes)
     for size in (tg.tile_elems - width, tg.tile_elems, tg.tile_elems + width):
         if size >= 1:
-            cost = tiling_cost(size, tg.total_elems, cfg.num_cores, cfg.tile_overhead)
+            cost = tiling_cost(size, tg.total_elems, cfg.num_cores)
             print(f"  cost[{size}]={cost:.6g}", file=out)
 
 

@@ -204,8 +204,7 @@ def _exec_load(insn, tile, core, device, stats) -> None:
     dtype = _dtype(insn.extras["dtype"])
     w = dtype.nbytes
     src = insn.srcs[0] + tile * insn.extras["tile_stride"] * w
-    data = device.read_global(src, eff, dtype)
-    _local_view(core, insn.dst, eff, dtype)[:] = data
+    _local_view(core, insn.dst, eff, dtype)[:] = device._global_view(src, eff, dtype)
     core.dtypes[insn.dst] = dtype
     stats.global_bytes_moved += eff * w
 
@@ -240,64 +239,52 @@ def _view_geometry(insn, tile) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(origins), tuple(effs)
 
 
-def _box_runs(insn, tile):
-    """Yield (local elem offset, global elem offset, run length) per last-dim row."""
+def _box_views(insn, tile, core, device, glob_base: int, local_base: int):
+    """(global box, local box, dtype, global byte address) of one tile.
+
+    The global box is one strided view, bounds-checked over every element
+    it reaches; a zero stride repeats one element (a broadcast).  The local
+    box is the leading corner of the dense ``sizes``-shaped tile.
+    """
     ex = insn.extras
+    dtype = _dtype(ex["dtype"])
+    w = dtype.nbytes
     origins, effs = _view_geometry(insn, tile)
-    sizes, strides = ex["sizes"], ex["strides"]
-    dims = len(sizes)
-    local_strides = [1] * dims
-    for d in reversed(range(dims - 1)):
-        local_strides[d] = local_strides[d + 1] * sizes[d + 1]
-    outer = [range(e) for e in effs[:-1]]
-    run = effs[-1]
-    base_g = sum(o * s for o, s in zip(origins, strides))
-
-    def walk(d: int, loc: int, glob: int):
-        if d == dims - 1:
-            yield loc, glob, run
-            return
-        for e in outer[d]:
-            yield from walk(d + 1, loc + e * local_strides[d], glob + e * strides[d])
-
-    yield from walk(0, 0, base_g)
+    strides, sizes = ex["strides"], ex["sizes"]
+    addr = glob_base + sum(o * s for o, s in zip(origins, strides)) * w
+    end = addr + (sum((e - 1) * s for e, s in zip(effs, strides)) + 1) * w
+    if addr < 0 or end > len(device.global_mem):
+        raise VMError(f"{insn.kind.name}: global access [{addr}, {end}) out of bounds")
+    glob = np.ndarray(
+        effs, NP_DTYPES[dtype], device.global_mem, addr, tuple(s * w for s in strides)
+    )
+    local = _local_view(core, local_base, prod(sizes), dtype).reshape(sizes)
+    return glob, local[tuple(map(slice, effs))], dtype, addr
 
 
 def _exec_view_load(insn, tile, core, device, stats) -> None:
-    dtype = _dtype(insn.extras["dtype"])
-    w = dtype.nbytes
-    stride_last = insn.extras["strides"][-1]
-    moved = 0
-    for loc, glob, run in _box_runs(insn, tile):
-        src = insn.srcs[0] + glob * w
-        if stride_last == 1:
-            data = device.read_global(src, run, dtype)
-        else:
-            span = (run - 1) * stride_last + 1
-            data = device.read_global(src, span, dtype)[::stride_last]
-        _local_view(core, insn.dst + loc * w, run, dtype)[:] = data
-        moved += run
+    glob, local, dtype, _ = _box_views(
+        insn, tile, core, device, insn.srcs[0], insn.dst
+    )
+    local[...] = glob
     core.dtypes[insn.dst] = dtype
-    stats.global_bytes_moved += moved * w
+    stats.global_bytes_moved += glob.size * dtype.nbytes
 
 
 def _exec_view_store(insn, tile, core, device, stats) -> None:
-    dtype = _dtype(insn.extras["dtype"])
-    w = dtype.nbytes
-    stride_last = insn.extras["strides"][-1]
-    moved = 0
-    for loc, glob, run in _box_runs(insn, tile):
-        dst = insn.dst + glob * w
-        data = _local_view(core, insn.srcs[0] + loc * w, run, dtype)
-        if stride_last == 1:
-            device._global_view(dst, run, dtype)[:] = data
-            core.write_ranges.append((dst, dst + run * w))
-        else:
-            span = (run - 1) * stride_last + 1
-            device._global_view(dst, span, dtype)[::stride_last] = data
-            core.write_ranges.append((dst, dst + span * w))
-        moved += run
-    stats.global_bytes_moved += moved * w
+    glob, local, dtype, addr = _box_views(
+        insn, tile, core, device, insn.dst, insn.srcs[0]
+    )
+    glob[...] = local
+    # one exact range per last-dim row, so the disjointness check sees
+    # column-adjacent boxes as disjoint
+    w, strides = dtype.nbytes, insn.extras["strides"]
+    starts = [addr]
+    for e, s in zip(glob.shape[:-1], strides[:-1]):
+        starts = [a + i * s * w for a in starts for i in range(e)]
+    span = ((glob.shape[-1] - 1) * strides[-1] + 1) * w
+    core.write_ranges.extend((a, a + span) for a in starts)
+    stats.global_bytes_moved += glob.size * dtype.nbytes
 
 
 # --- compute instructions -----------------------------------------------------

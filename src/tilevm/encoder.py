@@ -449,8 +449,8 @@ class _VectorLowerer:
             return False
         if self.buffer_of[tid] != tid:
             return False  # already an alias; keep it immutable
-        later = [o for o in self.g.ops[self.g.ops.index(op) + 1 :]]
-        return all(tid not in o.inputs for o in later)
+        pos = self.g.position(op)
+        return all(self.g.position(c) <= pos for c in self.g.consumers(tid))
 
 
 class _CubeLowerer:
@@ -943,18 +943,6 @@ def tile_for_group(group, cfg: DeviceConfig) -> TiledGraph:
     tg.lowering, tg.alloc = lowering, alloc
     tg.t_max = tg.row_size * (budget * tg.rows_per_tile // alloc.high_water)
     return tg
-
-
-def bind_and_run(
-    group,
-    device: DeviceState,
-    cfg: DeviceConfig,
-    inputs: dict[str, np.ndarray],
-    debug: bool = False,
-) -> tuple[dict[str, np.ndarray], ExecutionStats]:
-    """Run one group through ``run_groups``; returns its stored tensors."""
-    results, stats = run_groups([group], device, cfg, inputs, debug=debug)
-    return results, stats[0]
 
 
 def run_groups(

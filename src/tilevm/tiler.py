@@ -1,9 +1,9 @@
 """Iteration-space tiling for vector graphs, matmuls, and cube-vector groups.
 
 The tile-size search is driven by a lightweight cost model,
-``ceil(ceil(total/tile)/N) * (tile + overhead)``, which scores the bottleneck
-workload across cores; the winner is then rounded up to the hardware
-instruction width.  No hardware measurement is involved anywhere.
+``ceil(ceil(total/tile)/N) * (tile + TILE_OVERHEAD)``, which scores the
+bottleneck workload across cores; the winner is then rounded up to the
+hardware instruction width.  No hardware measurement is involved anywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .graph import (
     peak_live_count,  # noqa: F401  (perfbench/tracing.py wraps it here)
 )
 from .isa import DType, TileOrder
+
+
+TILE_OVERHEAD = 2.0  # the paper's "+2" per-tile term of the cost model
 
 
 class InfeasibleTilingError(ValueError):
@@ -40,7 +43,6 @@ class DeviceConfig:
     vector_cost_per_elem: float = 1.0
     cube_cost_per_mac: float = 1.0
     sync_cost: float = 2.0
-    tile_overhead: float = 2.0  # the "+2" per-tile term of the cost model
 
     def __post_init__(self) -> None:
         if min(self.num_cores, self.local_mem_bytes, self.instr_width_bytes) < 1:
@@ -52,18 +54,16 @@ class DeviceConfig:
         return max(1, self.instr_width_bytes // dtype_bytes)
 
 
-def tiling_cost(
-    tile_size: int, total: int, n_cores: int, overhead: float = 2.0
-) -> float:
+def tiling_cost(tile_size: int, total: int, n_cores: int) -> float:
     """Bottleneck workload of the busiest core for a given tile size."""
     if min(tile_size, total, n_cores) < 1:
         raise ValueError("tiling_cost arguments must be >= 1")
     tiles = ceil(total / tile_size)
-    return ceil(tiles / n_cores) * (tile_size + overhead)
+    return ceil(tiles / n_cores) * (tile_size + TILE_OVERHEAD)
 
 
 def min_cost_multiplier(
-    t_hi: int, l_prime: int, total: int, n_cores: int, overhead: float = 2.0
+    t_hi: int, l_prime: int, total: int, n_cores: int
 ) -> tuple[int, float]:
     """Smallest multiplier t in [1, t_hi] minimizing tiling_cost(t*l_prime).
 
@@ -73,11 +73,11 @@ def min_cost_multiplier(
     """
     if t_hi < 1:
         raise ValueError("t_hi must be >= 1")
-    best_t, best_cost = t_hi, tiling_cost(t_hi * l_prime, total, n_cores, overhead)
+    best_t, best_cost = t_hi, tiling_cost(t_hi * l_prime, total, n_cores)
     f = ceil(ceil(total / (t_hi * l_prime)) / n_cores)
     while True:
         t = max(1, min(t_hi, ceil(total / (f * n_cores * l_prime))))
-        cost = tiling_cost(t * l_prime, total, n_cores, overhead)
+        cost = tiling_cost(t * l_prime, total, n_cores)
         if cost < best_cost or (cost == best_cost and t < best_t):
             best_t, best_cost = t, cost
         if t == 1:
@@ -105,9 +105,7 @@ def hardware_align_div(
             f"inner extent {l_prime} exceeds tile limit {t_max}"
         )
     t_hi = min(t_max // l_prime, ceil(total / l_prime))
-    t_star, _ = min_cost_multiplier(
-        t_hi, l_prime, total, cfg.num_cores, cfg.tile_overhead
-    )
+    t_star, _ = min_cost_multiplier(t_hi, l_prime, total, cfg.num_cores)
     width = cfg.width_elems(dtype_bytes)
     step = width // gcd(l_prime, width)  # smallest t step keeping t*l' aligned
     aligned = ceil(t_star / step) * step

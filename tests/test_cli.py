@@ -252,3 +252,19 @@ def test_run_static_if_else_add_compound(tmp_path, taken):
     code, text = _run(["run", path, "--check"])
     assert code == EXIT_OK
     assert "RESULT PASS" in text
+
+
+def test_run_broadcasts_a_one_element_input(tmp_path):
+    # m[1,1] is read over the whole flattened space through a zero stride
+    doc = {
+        "tensors": [
+            {"id": "y", "dtype": "f32", "shape": [3, 4], "seed": 1},
+            {"id": "m", "dtype": "f32", "shape": [1, 1], "seed": 2},
+        ],
+        "ops": [{"kind": "add", "in": ["y", "m"], "out": "z"}],
+        "outputs": ["z"],
+    }
+    path = _write(tmp_path, "g.json", doc)
+    code, text = _run(["run", path, "--check"])
+    assert code == EXIT_OK
+    assert "RESULT PASS" in text

@@ -1,3 +1,6 @@
+import itertools
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from tilevm import (
     DeviceConfig,
     DeviceState,
     DType,
+    ExecutionStats,
     InstructionKind,
     KernelType,
     ProgramHeader,
@@ -21,7 +25,14 @@ from tilevm import (
 )
 from tilevm import device as device_mod, isa
 from tilevm.device import VMError, tile_range
-from tilevm.isa import CmpType, decode_instruction, sync_set, sync_wait
+from tilevm.isa import (
+    CmpType,
+    TileOrder,
+    decode_instruction,
+    decompose_tile_index,
+    sync_set,
+    sync_wait,
+)
 
 from helpers import oracle_env, random_vector_graph, run_static
 
@@ -148,6 +159,171 @@ def test_exec_local_out_of_bounds():
     )
     with pytest.raises(VMError):
         exec_instruction(insn, 0, _core(device), device)
+
+
+# --- view boxes -----------------------------------------------------------------
+
+
+def _random_box(rng, kind):
+    """A random ViewLoad/ViewStore: 1-3 dims, ragged edges, any tile order.
+
+    Global strides lay ``fulls`` out densely in a random dim order, spread
+    by a factor of 1-3, so a store never writes one element twice; loads
+    may also broadcast a dim with a zero stride.
+    """
+    dims = int(rng.integers(1, 4))
+    fulls = [int(rng.integers(1, 8)) for _ in range(dims)]
+    sizes = [int(rng.integers(1, f + 1)) for f in fulls]
+    grid, steps, offsets = [], [], []
+    for full, size in zip(fulls, sizes):
+        if rng.random() < 0.7:  # advancing; the edge tile is ragged
+            grid.append(-(-full // size))
+            steps.append(size)
+            offsets.append(0)
+        else:  # one fixed box at an offset
+            grid.append(1)
+            steps.append(0)
+            offsets.append(int(rng.integers(0, full)))
+    strides = [0] * dims
+    acc = int(rng.integers(1, 4))
+    for d in reversed(rng.permutation(dims).tolist()):
+        strides[d] = acc
+        acc *= fulls[d]
+    if kind is InstructionKind.ViewLoad:
+        strides = [0 if rng.random() < 0.25 else s for s in strides]
+    dtype = DType(int(rng.integers(len(DType))))
+    w = dtype.nbytes
+    glob_base = int(rng.integers(0, 8)) * w
+    local_base = int(rng.integers(0, 8)) * w
+    dst, src = (
+        (local_base, glob_base) if kind is InstructionKind.ViewLoad
+        else (glob_base, local_base)
+    )
+    insn = VirtualInstruction(
+        kind,
+        dst=dst,
+        srcs=(src,),
+        tile_size=prod(sizes),
+        total_size=prod(fulls),
+        extras={
+            "dtype": int(dtype),
+            "dims": dims,
+            "order": int(rng.choice(list(TileOrder))),
+            "grid": tuple(grid),
+            "steps": tuple(steps),
+            "offsets": tuple(offsets),
+            "sizes": tuple(sizes),
+            "fulls": tuple(fulls),
+            "strides": tuple(strides),
+        },
+    )
+    glob_bytes = glob_base + (sum((f - 1) * s for f, s in zip(fulls, strides)) + 1) * w
+    return insn, dtype, glob_base, local_base, glob_bytes
+
+
+def _box_elements(ex, tile):
+    """Per-element (local index, global element index), walked row-major."""
+    coords = decompose_tile_index(tile, ex["grid"], ex["order"])
+    origins = [c * st + off for c, st, off in zip(coords, ex["steps"], ex["offsets"])]
+    effs = [min(sz, f - o) for sz, f, o in zip(ex["sizes"], ex["fulls"], origins)]
+    elements = []
+    for idx in itertools.product(*(range(e) for e in effs)):
+        loc = 0
+        for i, size in zip(idx, ex["sizes"]):
+            loc = loc * size + i
+        glob = sum((o + i) * s for o, i, s in zip(origins, idx, ex["strides"]))
+        elements.append((loc, glob))
+    return elements, effs[-1]
+
+
+_VIEW_KINDS = pytest.mark.parametrize(
+    "kind", [InstructionKind.ViewLoad, InstructionKind.ViewStore], ids=lambda k: k.name
+)
+
+
+@_VIEW_KINDS
+def test_view_box_copy_matches_per_element_reference(kind):
+    rng = np.random.default_rng(91 + int(kind))
+    for _ in range(300):
+        insn, dtype, glob_base, local_base, glob_bytes = _random_box(rng, kind)
+        w = dtype.nbytes
+        device = DeviceState(1, 4096, glob_bytes + int(rng.integers(0, 3)) * w)
+        core = device.cores[0]
+        device.global_mem[:] = rng.integers(0, 256, device.global_mem.size)
+        core.local[:] = rng.integers(0, 256, core.local.size)
+        tile = int(rng.integers(prod(insn.extras["grid"])))
+        elements, run = _box_elements(insn.extras, tile)
+        want_glob, want_local = device.global_mem.copy(), core.local.copy()
+        for loc, glob in elements:
+            lo, go = local_base + loc * w, glob_base + glob * w
+            if kind is InstructionKind.ViewLoad:
+                want_local[lo : lo + w] = device.global_mem[go : go + w]
+            else:
+                want_glob[go : go + w] = core.local[lo : lo + w]
+        stats = ExecutionStats()
+        exec_instruction(insn, tile, core, device, stats)
+        assert np.array_equal(core.local, want_local), insn
+        assert np.array_equal(device.global_mem, want_glob), insn
+        assert stats.global_bytes_moved == len(elements) * w
+        if kind is InstructionKind.ViewLoad:
+            assert core.write_ranges == []
+            assert core.dtypes[local_base] == dtype
+        else:  # one range per last-dim row, from its first to its last element
+            rows = [elements[i : i + run] for i in range(0, len(elements), run)]
+            assert core.write_ranges == [
+                (glob_base + r[0][1] * w, glob_base + (r[-1][1] + 1) * w) for r in rows
+            ]
+
+
+def _box_insn(kind, addr, grid, steps, sizes, fulls, strides):
+    dims = len(sizes)
+    return VirtualInstruction(
+        kind,
+        dst=addr if kind is InstructionKind.ViewStore else 0,
+        srcs=(0 if kind is InstructionKind.ViewStore else addr,),
+        tile_size=prod(sizes),
+        total_size=prod(fulls),
+        extras={
+            "dtype": int(DType.F32),
+            "dims": dims,
+            "order": int(TileOrder.ROW_MAJOR),
+            "grid": grid,
+            "steps": steps,
+            "offsets": (0,) * dims,
+            "sizes": sizes,
+            "fulls": fulls,
+            "strides": strides,
+        },
+    )
+
+
+@_VIEW_KINDS
+def test_view_box_past_global_memory_rejected(kind):
+    # the 4x4 f32 box reaches byte 64 of a 60-byte arena
+    device = DeviceState(1, 4096, 60)
+    insn = _box_insn(kind, 0, (1, 1), (4, 4), (4, 4), (4, 4), (4, 1))
+    with pytest.raises(VMError, match="out of bounds"):
+        exec_instruction(insn, 0, device.cores[0], device)
+
+
+@pytest.mark.parametrize(
+    "steps, sizes, fulls, overlap",
+    [
+        ((0, 2), (2, 2), (2, 4), False),  # column-adjacent boxes of one 2x4 tensor
+        ((0, 1), (2, 2), (2, 4), True),  # boxes share a column
+    ],
+)
+def test_debug_check_sees_overlapping_view_stores(steps, sizes, fulls, overlap):
+    store = _box_insn(
+        InstructionKind.ViewStore, 0, (1, 2), steps, sizes, fulls, (fulls[1], 1)
+    )
+    program = encode_program(ProgramHeader(KernelType.VECTOR, 0, 2, 2), [store])
+    device = DeviceState(2, 4096, 1 << 12)
+    if overlap:
+        with pytest.raises(VMError, match="overlapping"):
+            dispatch(program, device, debug=True)
+    else:
+        dispatch(program, device, debug=True)
 
 
 def test_tile_range_examples():

@@ -21,7 +21,6 @@ from tilevm import (
 from tilevm.encoder import (
     AllocationError,
     EncoderError,
-    bind_and_run,
     bind_group,
     run_groups,
 )
@@ -234,8 +233,8 @@ def test_bind_and_run_add():
         ["c"],
     )
     device = DeviceState.from_config(CFG)
-    out, _ = bind_and_run(
-        group, device, CFG,
+    out, _ = run_groups(
+        [group], device, CFG,
         {"a": np.array([1.0, 2, 3, 4], np.float32),
          "b": np.array([5.0, 6, 7, 8], np.float32)},
         debug=True,
@@ -261,7 +260,7 @@ def test_bind_and_run_addmm_matches_oracle():
     assert groups[0].kind == "cv-pattern"
     inputs = {t.id: rng.uniform(-1, 1, t.shape).astype(np.float32) for t in ins}
     device = DeviceState.from_config(CFG)
-    out, _ = bind_and_run(groups[0], device, CFG, inputs, debug=True)
+    out, _ = run_groups([groups[0]], device, CFG, inputs, debug=True)
     want = inputs["a"].astype(np.float64) @ inputs["b"].astype(np.float64) + inputs["c"]
     err = np.abs(out["out"] - want) / (1.0 + np.abs(want))
     assert err.max() <= 1e-5
@@ -280,7 +279,7 @@ def test_bind_and_run_layernorm_matches_oracle():
     groups = fuse_static(g)
     data = rng.uniform(-1, 1, (2, 3, 8)).astype(np.float32)
     device = DeviceState.from_config(CFG)
-    out, _ = bind_and_run(groups[0], device, CFG, {"x": data}, debug=True)
+    out, _ = run_groups([groups[0]], device, CFG, {"x": data}, debug=True)
     want = direct_layernorm(data)
     err = np.abs(out["y"] - want) / (1.0 + np.abs(want))
     assert err.max() <= 1e-3
@@ -302,7 +301,7 @@ def test_strided_input_view_load():
     device = DeviceState.from_config(cfg)
     # bind the *storage* of a: row-major base buffer
     device.bind(g.tensors["a"], base)  # 32 elements in storage order
-    out, stats = bind_and_run(groups[0], device, cfg, {"b": b}, debug=True)
+    out, [stats] = run_groups([groups[0]], device, cfg, {"b": b}, debug=True)
     assert np.array_equal(out["c"], a_view + b)
     assert any(k == "ViewLoad" for k in stats.instruction_counts)
 
@@ -368,7 +367,7 @@ def test_adds_with_broadcast_input_materializes():
     device = DeviceState.from_config(cfg)
     rng = np.random.default_rng(55)
     data = rng.uniform(-1, 1, (6, 8)).astype(np.float32)
-    out, _ = bind_and_run(group, device, cfg, {"x": data}, debug=True)
+    out, _ = run_groups([group], device, cfg, {"x": data}, debug=True)
     want = np.broadcast_to(data.sum(-1, keepdims=True, dtype=np.float64), (6, 8))
     assert np.allclose(out["t"], want.astype(np.float32), atol=0)
 

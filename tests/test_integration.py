@@ -13,7 +13,7 @@ from tilevm import (
     tile_for_group,
     tile_matmul,
 )
-from tilevm.encoder import bind_and_run, bind_group, run_groups
+from tilevm.encoder import bind_group, run_groups
 from tilevm.isa import TileOrder
 
 from helpers import oracle_env
@@ -33,7 +33,7 @@ def _run_one(g, inputs, cfg):
     groups = fuse_static(g)
     assert len(groups) == 1
     device = DeviceState.from_config(cfg)
-    out, stats = bind_and_run(groups[0], device, cfg, inputs, debug=True)
+    out, [stats] = run_groups([groups[0]], device, cfg, inputs, debug=True)
     return out, stats, groups[0]
 
 
@@ -293,7 +293,7 @@ def test_cube_vector_stored_intermediate_under_tight_memory():
     assert len(groups) == 1 and groups[0].kind == "cv-pattern"
     assert set(groups[0].stores) == {"s", "out"}
     device = DeviceState.from_config(cfg)
-    out, _ = bind_and_run(groups[0], device, cfg, inputs, debug=True)
+    out, _ = run_groups([groups[0]], device, cfg, inputs, debug=True)
     mm = inputs["a"].astype(np.float64) @ inputs["b"].astype(np.float64)
     s = np.sqrt(mm)
     for tid, want in (("s", s), ("out", s + inputs["y"])):
