@@ -37,7 +37,6 @@ from .tiler import (
 )
 from .encoder import (
     LocalAllocation,
-    allocate_local,
     bind_group,
     compile_group,
     run_groups,

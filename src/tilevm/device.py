@@ -43,11 +43,6 @@ class Core:
     dtypes: dict[int, DType] = field(default_factory=dict)
     write_ranges: list[tuple[int, int]] = field(default_factory=list)
 
-    def reset(self) -> None:
-        self.local[:] = 0
-        self.dtypes.clear()
-        self.write_ranges.clear()
-
 
 class DeviceState:
     """Global memory arena plus N cores with private local memories."""
@@ -145,9 +140,9 @@ class ExecutionStats:
     decode_burst: float = 0.0
     decode_hidden: bool = False
 
-    def count(self, kind: InstructionKind) -> None:
+    def count(self, kind: InstructionKind, n: int = 1) -> None:
         self.instruction_counts[kind.name] = (
-            self.instruction_counts.get(kind.name, 0) + 1
+            self.instruction_counts.get(kind.name, 0) + n
         )
 
 
@@ -186,13 +181,12 @@ def _write_quantized(
     core: Core, offset: int, values: np.ndarray, dtype: DType
 ) -> None:
     view = _local_view(core, offset, values.size, dtype)
-    with np.errstate(all="ignore", invalid="ignore"):
-        if dtype in (DType.I32, DType.U8):
-            vals = np.trunc(values)
-            vals = np.where(np.isfinite(vals) & (np.abs(vals) < 2.0**62), vals, 0.0)
-            view[:] = vals.astype(np.int64).astype(NP_DTYPES[dtype])
-        else:
-            view[:] = values.astype(NP_DTYPES[dtype])
+    if dtype in (DType.I32, DType.U8):
+        vals = np.trunc(values)
+        vals = np.where(np.isfinite(vals) & (np.abs(vals) < 2.0**62), vals, 0.0)
+        view[:] = vals.astype(np.int64).astype(NP_DTYPES[dtype])
+    else:
+        view[:] = values.astype(NP_DTYPES[dtype])
     core.dtypes[offset] = dtype
 
 
@@ -289,25 +283,6 @@ def _exec_view_store(insn, tile, core, device, stats) -> None:
 
 # --- compute instructions -----------------------------------------------------
 
-_UNARY_FNS = {
-    InstructionKind.Sqrt: np.sqrt,
-    InstructionKind.Abs: np.abs,
-    InstructionKind.Log: np.log,
-    InstructionKind.Exp: np.exp,
-    InstructionKind.Round: np.round,
-    InstructionKind.Floor: np.floor,
-}
-
-_BINARY_FNS = {
-    InstructionKind.Add: np.add,
-    InstructionKind.Sub: np.subtract,
-    InstructionKind.Mul: np.multiply,
-    InstructionKind.Div: np.divide,
-    InstructionKind.Min: np.minimum,
-    InstructionKind.Max: np.maximum,
-    InstructionKind.Pow: np.power,
-}
-
 _CMP_FNS = {
     CmpType.EQ: np.equal,
     CmpType.NE: np.not_equal,
@@ -317,68 +292,60 @@ _CMP_FNS = {
     CmpType.GE: np.greater_equal,
 }
 
+# float64 in, float64 out; Adds/Muls also take the scalar, Cmp its CmpType
+_ELEMENTWISE_FNS: dict[InstructionKind, Callable] = {
+    InstructionKind.Copy: lambda x: x,
+    InstructionKind.Cast: lambda x: x,
+    InstructionKind.Sqrt: np.sqrt,
+    InstructionKind.Abs: np.abs,
+    InstructionKind.Log: np.log,
+    InstructionKind.Exp: np.exp,
+    InstructionKind.Round: np.round,
+    InstructionKind.Floor: np.floor,
+    InstructionKind.IsFinite: lambda x: np.isfinite(x).astype(np.float64),
+    InstructionKind.Adds: np.add,
+    InstructionKind.Muls: np.multiply,
+    InstructionKind.Add: np.add,
+    InstructionKind.Sub: np.subtract,
+    InstructionKind.Mul: np.multiply,
+    InstructionKind.Div: np.divide,
+    InstructionKind.Min: np.minimum,
+    InstructionKind.Max: np.maximum,
+    InstructionKind.Pow: np.power,
+    InstructionKind.Cmp: lambda a, b, cmp: (
+        _CMP_FNS[CmpType(cmp)](a, b).astype(np.float64)
+    ),
+    InstructionKind.Select: lambda c, a, b: np.where(c != 0, a, b),
+}
 
-def _exec_unary(insn, tile, core, device, stats) -> None:
+
+def _exec_elementwise(insn, tile, core, device, stats) -> None:
+    """Read each operand as float64, apply the kind's function, and round
+    the result once into the value operands' dtype.
+
+    Value operands must share one recorded dtype (Select's condition may
+    differ); Cast takes its source and result dtypes from the instruction.
+    """
+    kind, ex = insn.kind, insn.extras
+    scalar = kind in (InstructionKind.Adds, InstructionKind.Muls)
+    srcs = (insn.dst,) if scalar else insn.srcs
+    if kind is InstructionKind.Cast:
+        dtypes = [_dtype(ex["src_dtype"])]
+        out = _dtype(ex["dst_dtype"])
+    else:
+        dtypes = [_operand_dtype(core, s, kind) for s in srcs]
+        values = dtypes[1:] if kind is InstructionKind.Select else dtypes
+        out = values[0]
+        if any(d != out for d in values):
+            names = ", ".join(d.name for d in values)
+            raise VMError(f"{kind.name}: operand dtypes differ ({names})")
     eff = insn.effective_size(tile)
-    dtype = _operand_dtype(core, insn.srcs[0], insn.kind)
-    x = _read_f64(core, insn.srcs[0], eff, dtype)
-    with np.errstate(all="ignore", invalid="ignore"):
-        if insn.kind is InstructionKind.Copy:
-            y = x
-        elif insn.kind is InstructionKind.IsFinite:
-            y = np.isfinite(x).astype(np.float64)
-        else:
-            y = _UNARY_FNS[insn.kind](x)
-    _write_quantized(core, insn.dst, y, dtype)
-
-
-def _exec_binary(insn, tile, core, device, stats) -> None:
-    eff = insn.effective_size(tile)
-    da = _operand_dtype(core, insn.srcs[0], insn.kind)
-    db = _operand_dtype(core, insn.srcs[1], insn.kind)
-    if da != db:
-        raise VMError(f"{insn.kind.name}: operand dtypes differ ({da}, {db})")
-    a = _read_f64(core, insn.srcs[0], eff, da)
-    b = _read_f64(core, insn.srcs[1], eff, db)
-    with np.errstate(all="ignore", invalid="ignore"):
-        y = _BINARY_FNS[insn.kind](a, b)
-    _write_quantized(core, insn.dst, y, da)
-
-
-def _exec_scalar_imm(insn, tile, core, device, stats) -> None:
-    eff = insn.effective_size(tile)
-    dtype = _operand_dtype(core, insn.dst, insn.kind)
-    x = _read_f64(core, insn.dst, eff, dtype)
-    s = float(insn.extras["scalar"])
-    y = x + s if insn.kind is InstructionKind.Adds else x * s
-    _write_quantized(core, insn.dst, y, dtype)
-
-
-def _exec_cmp(insn, tile, core, device, stats) -> None:
-    eff = insn.effective_size(tile)
-    dtype = _operand_dtype(core, insn.srcs[0], insn.kind)
-    a = _read_f64(core, insn.srcs[0], eff, dtype)
-    b = _read_f64(core, insn.srcs[1], eff, dtype)
-    y = _CMP_FNS[CmpType(insn.extras["cmp"])](a, b).astype(np.float64)
-    _write_quantized(core, insn.dst, y, dtype)
-
-
-def _exec_cast(insn, tile, core, device, stats) -> None:
-    eff = insn.effective_size(tile)
-    src_dtype = _dtype(insn.extras["src_dtype"])
-    dst_dtype = _dtype(insn.extras["dst_dtype"])
-    x = _read_f64(core, insn.srcs[0], eff, src_dtype)
-    _write_quantized(core, insn.dst, x, dst_dtype)
-
-
-def _exec_select(insn, tile, core, device, stats) -> None:
-    eff = insn.effective_size(tile)
-    dc = _operand_dtype(core, insn.srcs[0], insn.kind)
-    dv = _operand_dtype(core, insn.srcs[1], insn.kind)
-    cond = _read_f64(core, insn.srcs[0], eff, dc)
-    xm = _read_f64(core, insn.srcs[1], eff, dv)
-    xn = _read_f64(core, insn.srcs[2], eff, dv)
-    _write_quantized(core, insn.dst, np.where(cond != 0, xm, xn), dv)
+    args = [_read_f64(core, s, eff, d) for s, d in zip(srcs, dtypes)]
+    if scalar:
+        args.append(float(ex["scalar"]))
+    elif kind is InstructionKind.Cmp:
+        args.append(ex["cmp"])
+    _write_quantized(core, insn.dst, _ELEMENTWISE_FNS[kind](*args), out)
 
 
 def _reduce_geometry(insn, tile) -> tuple[int, int, int]:
@@ -394,13 +361,12 @@ def _exec_reduce(insn, tile, core, device, stats) -> None:
     dtype = _operand_dtype(core, insn.srcs[0], insn.kind)
     x = _read_f64(core, insn.srcs[0], m_eff * size * n, dtype)
     x = x.reshape(m_eff, size, n)
-    with np.errstate(all="ignore", invalid="ignore"):
-        if insn.kind is InstructionKind.Sum:
-            y = np.sum(x, axis=1)
-        elif insn.kind is InstructionKind.ReduceMax:
-            y = np.max(x, axis=1)
-        else:
-            y = np.min(x, axis=1)
+    if insn.kind is InstructionKind.Sum:
+        y = np.sum(x, axis=1)
+    elif insn.kind is InstructionKind.ReduceMax:
+        y = np.max(x, axis=1)
+    else:
+        y = np.min(x, axis=1)
     _write_quantized(core, insn.dst, y.ravel(), dtype)
 
 
@@ -447,33 +413,14 @@ INSTRUCTION_TABLE: dict[InstructionKind, Callable] = {
     InstructionKind.ViewLoad: _exec_view_load,
     InstructionKind.Store: _exec_store,
     InstructionKind.ViewStore: _exec_view_store,
-    InstructionKind.Copy: _exec_unary,
     InstructionKind.Broadcast: _exec_broadcast,
-    InstructionKind.Sqrt: _exec_unary,
-    InstructionKind.Abs: _exec_unary,
-    InstructionKind.Log: _exec_unary,
-    InstructionKind.Exp: _exec_unary,
-    InstructionKind.Pow: _exec_binary,
-    InstructionKind.Round: _exec_unary,
-    InstructionKind.Floor: _exec_unary,
-    InstructionKind.IsFinite: _exec_unary,
-    InstructionKind.Adds: _exec_scalar_imm,
-    InstructionKind.Muls: _exec_scalar_imm,
-    InstructionKind.Add: _exec_binary,
-    InstructionKind.Sub: _exec_binary,
-    InstructionKind.Mul: _exec_binary,
-    InstructionKind.Div: _exec_binary,
-    InstructionKind.Min: _exec_binary,
-    InstructionKind.Max: _exec_binary,
-    InstructionKind.Cmp: _exec_cmp,
-    InstructionKind.Cast: _exec_cast,
     InstructionKind.Sum: _exec_reduce,
     InstructionKind.ReduceMax: _exec_reduce,
     InstructionKind.ReduceMin: _exec_reduce,
-    InstructionKind.Select: _exec_select,
     InstructionKind.Matmul: _exec_matmul,
     InstructionKind.SyncSet: _exec_sync,
     InstructionKind.SyncWait: _exec_sync,
+    **dict.fromkeys(_ELEMENTWISE_FNS, _exec_elementwise),
 }
 
 
@@ -485,7 +432,8 @@ def exec_instruction(
     stats: ExecutionStats | None = None,
 ) -> None:
     stats = stats if stats is not None else ExecutionStats()
-    INSTRUCTION_TABLE[insn.kind](insn, tile_index, core, device, stats)
+    with np.errstate(all="ignore"):
+        INSTRUCTION_TABLE[insn.kind](insn, tile_index, core, device, stats)
     stats.count(insn.kind)
 
 
@@ -509,12 +457,16 @@ def run_core(
     core = core if core is not None else device.cores[core_id]
     stats = stats if stats is not None else ExecutionStats()
     insns = program.instructions()
-    for tile in tile_range(core_id, header.total_tiles, header.block_dim):
+    tiles = tile_range(core_id, header.total_tiles, header.block_dim)
+    with np.errstate(all="ignore"):
+        for tile in tiles:
+            for insn in insns:
+                fn = INSTRUCTION_TABLE[insn.kind]
+                fn(insn, tile, core, device, stats)  # memory ops use the tile id
+    if tiles:
         for insn in insns:
-            fn = INSTRUCTION_TABLE[insn.kind]
-            fn(insn, tile, core, device, stats)  # memory ops use the tile id
-            stats.count(insn.kind)
-        stats.tiles_executed += 1
+            stats.count(insn.kind, len(tiles))
+        stats.tiles_executed += len(tiles)
 
 
 def dispatch(

@@ -14,7 +14,7 @@ from math import ceil, prod
 import numpy as np
 
 from .device import DeviceState, ExecutionStats, dispatch
-from .graph import OperatorGraph, REDUCTION_KINDS
+from .graph import OperatorGraph, REDUCTION_KINDS, SCALAR_KINDS
 from .isa import (
     BytecodeProgram,
     DType,
@@ -163,20 +163,42 @@ def _aligned_strides(meta, g: OperatorGraph, rank: int) -> tuple[int, ...]:
     return (0,) * (rank - len(shape)) + tuple(strides)
 
 
-class _VectorLowerer:
-    """Lower a vector group over its flattened (rows x row_size) space."""
+class _Lowerer:
+    """Buffers and protos of one group's lowering.
+
+    Each lowerer says where an operand's buffer is (``_operand``) and how
+    big an output tile is (``_sizes``); ``_lower_elementwise`` does the rest.
+    """
 
     def __init__(self, tg: TiledGraph):
         self.tg = tg
         self.g = tg.graph
+        self.protos: list[_Proto] = []
+        self.buffers: dict[str, _Buffer] = {}
+        self.buffer_of: dict[str, str] = {}  # tensor id -> buffer name
+
+    def _buffer(self, name: str, elems: int, dtype: DType) -> str:
+        while name in self.buffers:  # e.g. a tensor feeding matmul and chain
+            name += "#cv"
+        self.buffers[name] = _Buffer(name, elems, dtype)
+        return name
+
+    def _can_alias(self, tid: str, op) -> bool:
+        """May Adds/Muls write ``tid``'s buffer in place?  The cube chain
+        always copies first."""
+        return False
+
+
+class _VectorLowerer(_Lowerer):
+    """Lower a vector group over its flattened (rows x row_size) space."""
+
+    def __init__(self, tg: TiledGraph):
+        super().__init__(tg)
         self.rank = len(tg.dom)
         self.b = tg.boundary
         self.R = tg.total_rows
         self.r = tg.rows_per_tile
-        self.protos: list[_Proto] = []
-        self.buffers: dict[str, _Buffer] = {}
-        self.buffer_of: dict[str, str] = {}
-        self.inrow: dict[str, tuple[int, ...]] = {}  # buffer -> materialized in-row shape
+        self._shapes: dict[str, tuple[int, ...]] = {}  # tensor id -> aligned shape
         self._tmp = 0
 
     def lower(self) -> _Lowering:
@@ -184,7 +206,10 @@ class _VectorLowerer:
         for tid in g.graph_input_ids():
             self._lower_load(tid)
         for op in g.ops:
-            self._lower_op(op)
+            if op.is_elementwise:
+                _lower_elementwise(self, op)
+            else:
+                self._lower_op(op)
         for tid in g.outputs:
             self._lower_store(tid)
         return _Lowering(self.protos, self.buffers, self.buffer_of)
@@ -192,42 +217,34 @@ class _VectorLowerer:
     # -- helpers ---------------------------------------------------------
 
     def _shape(self, tid: str) -> tuple[int, ...]:
-        return _aligned(self.g.resolved_shape(tid), self.rank)
+        if tid not in self._shapes:
+            self._shapes[tid] = _aligned(self.g.resolved_shape(tid), self.rank)
+        return self._shapes[tid]
 
-    def _rows_of(self, shape: tuple[int, ...]) -> int:
-        return prod(shape[: self.b]) if self.b else 1
-
-    def _new_buffer(self, name: str, inrow: tuple[int, ...], dtype: DType) -> str:
-        elems = self.r * prod(inrow)
-        self.buffers[name] = _Buffer(name, elems, dtype)
-        self.inrow[name] = inrow
-        return name
-
-    def _fresh(self, base: str) -> str:
-        self._tmp += 1
-        return f"{base}#b{self._tmp}"
+    def _inrow(self, tid: str) -> tuple[int, ...]:
+        """In-row shape of a tensor, and of the buffer ``buffer_of`` holds it in."""
+        return self._shape(tid)[self.b :]
 
     def _advancing(self, shape: tuple[int, ...]) -> bool:
-        return self._rows_of(shape) == self.R
+        return prod(shape[: self.b]) == self.R
 
-    def _sizes(self, rows: bool, inrow: tuple[int, ...]) -> tuple[int, int]:
-        """(tile_size, total_size) for a buffer with this in-row shape."""
-        per_row = prod(inrow)
-        if rows:
-            return self.r * per_row, self.R * per_row
-        return self.r * per_row, self.r * per_row  # non-advancing: recomputed per tile
+    def _sizes(self, tid: str) -> tuple[int, int]:
+        """(tile_size, total_size) of a tensor's buffer."""
+        shape = self._shape(tid)
+        per_row = prod(shape[self.b :])
+        tile = self.r * per_row
+        # a non-advancing tensor is recomputed per tile
+        return tile, (self.R * per_row if self._advancing(shape) else tile)
 
     # -- loads/stores -----------------------------------------------------
 
     def _lower_load(self, tid: str) -> None:
         meta = self.g.tensors[tid]
         shape = self._shape(tid)
-        inrow = shape[self.b :] if self.b < self.rank else ()
-        buf = self._new_buffer(tid, inrow, meta.dtype)
+        tile, total = self._sizes(tid)
+        buf = self._buffer(tid, tile, meta.dtype)
         self.buffer_of[tid] = buf
         advancing = self._advancing(shape)
-        per_row = prod(inrow) if inrow else 1
-        tile, total = self.r * per_row, self.R * per_row
         if advancing and meta.is_contiguous:
             self.protos.append(
                 _Proto(
@@ -261,7 +278,7 @@ class _VectorLowerer:
                 InstructionKind.ViewLoad,
                 dst=buf,
                 tile_size=tile,
-                total_size=total if advancing else tile,
+                total_size=total,
                 extras={
                     "dtype": int(meta.dtype),
                     "dims": dims,
@@ -281,20 +298,15 @@ class _VectorLowerer:
         meta = self.g.tensors[tid]
         if not meta.is_contiguous:
             raise EncoderError(f"stored tensor {tid} must be contiguous")
-        buf = self.buffer_of[tid]
-        inrow = self.inrow[buf]
-        shape = self._shape(tid)
-        advancing = self._advancing(shape)
-        per_row = prod(inrow) if inrow else 1
-        if advancing:
-            tile, total = self.r * per_row, self.R * per_row
+        if self._advancing(self._shape(tid)):
+            tile, total = self._sizes(tid)
         else:
             tile = total = meta.nelems  # written once, by tile 0 only
         self.protos.append(
             _Proto(
                 InstructionKind.Store,
                 dst=None,
-                srcs=(buf,),
+                srcs=(self.buffer_of[tid],),
                 tile_size=tile,
                 total_size=total,
                 extras={"tile_stride": tile, "dtype": int(meta.dtype)},
@@ -304,12 +316,10 @@ class _VectorLowerer:
 
     # -- compute -----------------------------------------------------------
 
-    def _materialize(self, tid: str, want: tuple[int, ...]) -> str:
-        """Expand a buffer's extent-1 in-row dims with Broadcast instructions."""
-        buf = self.buffer_of[tid]
-        have = self.inrow[buf]
-        if have == want:
-            return buf
+    def _operand(self, tid: str, out: str) -> str:
+        """The buffer of ``tid``, its extent-1 in-row dims expanded to
+        ``out``'s with Broadcast instructions."""
+        buf, have, want = self.buffer_of[tid], self._inrow(tid), self._inrow(out)
         dtype = self.buffers[buf].dtype
         for j in range(len(want)):
             if have[j] == want[j]:
@@ -321,126 +331,40 @@ class _VectorLowerer:
             m = self.r * prod(have[:j])
             n = prod(have[j + 1 :]) if j + 1 < len(have) else 1
             new = have[:j] + (want[j],) + have[j + 1 :]
-            out = self._fresh(tid)
-            self._new_buffer(out, new, dtype)
-            tile, total = self.r * prod(new), self.R * prod(new)
+            self._tmp += 1
+            wide = self._buffer(f"{tid}#b{self._tmp}", self.r * prod(new), dtype)
             self.protos.append(
                 _Proto(
                     InstructionKind.Broadcast,
-                    dst=out,
+                    dst=wide,
                     srcs=(buf,),
-                    tile_size=tile,
-                    total_size=total,
+                    tile_size=self.r * prod(new),
+                    total_size=self.R * prod(new),
                     extras={"m": m, "size": want[j], "n": n},
                 )
             )
-            buf, have = out, new
+            buf, have = wide, new
         return buf
 
     def _lower_op(self, op) -> None:
-        g = self.g
-        if op.kind == "copy":
-            # a local-to-local copy is free: alias the output onto the input
-            self.buffer_of[op.output] = self.buffer_of[op.inputs[0]]
-            return
-        out_meta = g.tensors[op.output]
-        out_shape = self._shape(op.output)
-        out_inrow = out_shape[self.b :] if self.b < self.rank else ()
-        kind = _OP_TO_KIND[op.kind]
+        """A reduction or a broadcast over the last in-row dim."""
+        _check_op_dtypes(self.g, op)
+        src, out = op.inputs[0], op.output
+        src_inrow, out_inrow = self._inrow(src), self._inrow(out)
+        dst = self._buffer(out, self._sizes(out)[0], self.g.tensors[out].dtype)
+        self.buffer_of[out] = dst
         if op.kind in REDUCTION_KINDS:
-            src_shape = self._shape(op.inputs[0])
-            src_inrow = src_shape[self.b :]
-            src = self._materialize(op.inputs[0], src_inrow)
-            dst = self._new_buffer(op.output, out_inrow, out_meta.dtype)
-            self.buffer_of[op.output] = dst
-            per_in = prod(src_inrow)
-            self.protos.append(
-                _Proto(
-                    kind,
-                    dst=dst,
-                    srcs=(src,),
-                    tile_size=self.r * per_in,
-                    total_size=self.R * per_in,
-                    extras={
-                        "m": self.r * prod(src_inrow[:-1]),
-                        "size": src_inrow[-1],
-                        "n": 1,
-                    },
-                )
-            )
-            return
-        if op.kind == "broadcast":
-            size = int(op.attrs["size"])
-            src_inrow = self.inrow[self.buffer_of[op.inputs[0]]]
-            src = self.buffer_of[op.inputs[0]]
-            dst = self._new_buffer(op.output, out_inrow, out_meta.dtype)
-            self.buffer_of[op.output] = dst
-            self.protos.append(
-                _Proto(
-                    kind,
-                    dst=dst,
-                    srcs=(src,),
-                    tile_size=self.r * prod(out_inrow),
-                    total_size=self.R * prod(out_inrow),
-                    extras={"m": self.r * prod(src_inrow[:-1]), "size": size, "n": 1},
-                )
-            )
-            return
-        if op.kind in ("adds", "muls"):
-            self._lower_scalar_imm(op, kind, out_meta, out_inrow)
-            return
-        _check_op_dtypes(g, op)
-        # elementwise: unify every operand onto the op's in-row shape
-        srcs = [self._materialize(t, out_inrow) for t in op.inputs]
-        dst = self._new_buffer(op.output, out_inrow, out_meta.dtype)
-        self.buffer_of[op.output] = dst
-        tile, total = self._sizes(self._advancing(out_shape), out_inrow)
-        extras: dict = {}
-        if op.kind == "cmp":
-            extras["cmp"] = int(op.attrs["cmp"])
-        if op.kind == "cast":
-            extras["src_dtype"] = int(g.tensors[op.inputs[0]].dtype)
-            extras["dst_dtype"] = int(out_meta.dtype)
-        self.protos.append(
-            _Proto(
-                kind,
-                dst=dst,
-                srcs=tuple(srcs),
-                tile_size=tile,
-                total_size=total,
-                extras=extras,
-            )
-        )
-
-    def _lower_scalar_imm(self, op, kind, out_meta, out_inrow) -> None:
-        src_tid = op.inputs[0]
-        src = self._materialize(src_tid, out_inrow)
-        tile, total = self._sizes(
-            self._advancing(self._shape(op.output)), out_inrow
-        )
-        if src == self.buffer_of[src_tid] and self._can_alias(src_tid, op):
-            dst = src
+            size, elems = src_inrow[-1], prod(src_inrow)
         else:
-            dst = self._new_buffer(op.output, out_inrow, out_meta.dtype)
-            self.protos.append(
-                _Proto(
-                    InstructionKind.Copy,
-                    dst=dst,
-                    srcs=(src,),
-                    tile_size=tile,
-                    total_size=total,
-                )
-            )
-        self.buffer_of[op.output] = dst
-        self.inrow[dst] = out_inrow
+            size, elems = int(op.attrs["size"]), prod(out_inrow)
         self.protos.append(
             _Proto(
-                kind,
+                _OP_TO_KIND[op.kind],
                 dst=dst,
-                tile_size=tile,
-                total_size=total,
-                extras={"scalar": float(op.attrs["scalar"])},
-                inplace=True,
+                srcs=(self.buffer_of[src],),
+                tile_size=self.r * elems,
+                total_size=self.R * elems,
+                extras={"m": self.r * prod(src_inrow[:-1]), "size": size, "n": 1},
             )
         )
 
@@ -453,15 +377,8 @@ class _VectorLowerer:
         return all(self.g.position(c) <= pos for c in self.g.consumers(tid))
 
 
-class _CubeLowerer:
+class _CubeLowerer(_Lowerer):
     """Lower a matmul (optionally with an element-wise chain) over 2-D tiles."""
-
-    def __init__(self, tg: TiledGraph):
-        self.tg = tg
-        self.g = tg.graph
-        self.protos: list[_Proto] = []
-        self.buffers: dict[str, _Buffer] = {}
-        self.buffer_of: dict[str, str] = {}
 
     def lower(self) -> _Lowering:
         tg, g = self.tg, self.g
@@ -547,22 +464,24 @@ class _CubeLowerer:
                 )
             )
         for op in chain:
-            self._lower_chain_op(op, out_dtype)
+            _lower_elementwise(self, op)
         for tid in g.outputs:
             self._lower_store(tid)
         return _Lowering(self.protos, self.buffers, self.buffer_of)
-
-    def _buffer(self, name: str, elems: int, dtype: DType) -> str:
-        buf_name = name
-        while buf_name in self.buffers:  # e.g. a tensor feeding matmul and chain
-            buf_name += "#cv"
-        self.buffers[buf_name] = _Buffer(buf_name, elems, dtype)
-        return buf_name
 
     def _slab_strides(self, meta, shape2d) -> tuple[int, int]:
         if meta.strides is not None and tuple(meta.strides) != (shape2d[1], 1):
             return tuple(meta.strides)  # type: ignore[return-value]
         return (shape2d[1], 1)
+
+    def _sizes(self, tid: str) -> tuple[int, int]:
+        tile = self.tg.tm * self.tg.tn
+        return tile, tile
+
+    def _operand(self, tid: str, out: str) -> str:
+        if tid in self.buffer_of:
+            return self.buffer_of[tid]
+        return self._load_chain_external(tid)
 
     def _load_chain_external(self, tid: str) -> str:
         tg, g = self.tg, self.g
@@ -600,63 +519,6 @@ class _CubeLowerer:
         )
         return buf
 
-    def _lower_chain_op(self, op, out_dtype: DType) -> None:
-        tg = self.tg
-        tile = tg.tm * tg.tn
-        srcs = []
-        for tid in op.inputs:
-            if tid in self.buffer_of:
-                srcs.append(self.buffer_of[tid])
-            else:
-                srcs.append(self._load_chain_external(tid))
-        if op.kind == "copy":
-            self.buffer_of[op.output] = srcs[0]
-            return
-        _check_op_dtypes(self.g, op)
-        kind = _OP_TO_KIND[op.kind]
-        extras: dict = {}
-        if op.kind == "cmp":
-            extras["cmp"] = int(op.attrs["cmp"])
-        if op.kind == "cast":
-            extras["src_dtype"] = int(self.g.tensors[op.inputs[0]].dtype)
-            extras["dst_dtype"] = int(self.g.tensors[op.output].dtype)
-        dtype = self.g.tensors[op.output].dtype
-        if op.kind in ("adds", "muls"):
-            dst = self._buffer(op.output, tile, dtype)
-            self.protos.append(
-                _Proto(
-                    InstructionKind.Copy,
-                    dst=dst,
-                    srcs=(srcs[0],),
-                    tile_size=tile,
-                    total_size=tile,
-                )
-            )
-            self.protos.append(
-                _Proto(
-                    kind,
-                    dst=dst,
-                    tile_size=tile,
-                    total_size=tile,
-                    extras={"scalar": float(op.attrs["scalar"])},
-                    inplace=True,
-                )
-            )
-            self.buffer_of[op.output] = dst
-            return
-        dst = self._buffer(op.output, tile, dtype)
-        self.buffer_of[op.output] = dst
-        self.protos.append(
-            _Proto(
-                kind,
-                dst=dst,
-                srcs=tuple(srcs),
-                tile_size=tile,
-                total_size=tile,
-                extras=extras,
-            )
-        )
-
     def _lower_store(self, tid: str) -> None:
         tg, g = self.tg, self.g
         meta = g.tensors[tid]
@@ -682,6 +544,57 @@ class _CubeLowerer:
                 global_tensor=tid,
             )
         )
+
+
+def _lower_elementwise(lw: _Lowerer, op) -> None:
+    """Lower one element-wise op, ``copy`` included, for either lowerer."""
+    _check_op_dtypes(lw.g, op)
+    srcs = tuple(lw._operand(t, op.output) for t in op.inputs)
+    if op.kind == "copy":
+        # a local-to-local copy is free: alias the output onto the input
+        lw.buffer_of[op.output] = srcs[0]
+        return
+    g = lw.g
+    tile, total = lw._sizes(op.output)
+    dtype = g.tensors[op.output].dtype
+    extras: dict = {}
+    inplace = op.kind in SCALAR_KINDS
+    if inplace:
+        extras["scalar"] = float(op.attrs["scalar"])
+        src_tid = op.inputs[0]
+        if srcs[0] == lw.buffer_of[src_tid] and lw._can_alias(src_tid, op):
+            dst = srcs[0]
+        else:
+            dst = lw._buffer(op.output, tile, dtype)
+            lw.protos.append(
+                _Proto(
+                    InstructionKind.Copy,
+                    dst=dst,
+                    srcs=srcs,
+                    tile_size=tile,
+                    total_size=total,
+                )
+            )
+        srcs = ()  # Adds/Muls read and write dst
+    else:
+        dst = lw._buffer(op.output, tile, dtype)
+        if op.kind == "cmp":
+            extras["cmp"] = int(op.attrs["cmp"])
+        if op.kind == "cast":
+            extras["src_dtype"] = int(g.tensors[op.inputs[0]].dtype)
+            extras["dst_dtype"] = int(dtype)
+    lw.buffer_of[op.output] = dst
+    lw.protos.append(
+        _Proto(
+            _OP_TO_KIND[op.kind],
+            dst=dst,
+            srcs=srcs,
+            tile_size=tile,
+            total_size=total,
+            extras=extras,
+            inplace=inplace,
+        )
+    )
 
 
 def _check_op_dtypes(g: OperatorGraph, op) -> None:
@@ -745,11 +658,6 @@ def _lower_and_fit(
             f"{alloc.high_water} bytes, core has {local_mem_bytes}"
         )
     return lowering, alloc
-
-
-def allocate_local(tg: TiledGraph, local_mem_bytes: int) -> LocalAllocation:
-    """Place every tile buffer of the group in local memory (first-fit reuse)."""
-    return _lower_and_fit(tg, local_mem_bytes)[1]
 
 
 _SYNCABLE = {

@@ -333,9 +333,6 @@ class FusionBuffer:
         self._stored: set[str] = set()
         self._flushed_unstored: set[str] = set()
 
-    def __len__(self) -> int:
-        return len(self._open.ops) if self._open else 0
-
     def push(
         self, op: BasicOp, new_tensors: list[TensorMeta] = ()
     ) -> list[FusedGroup]:

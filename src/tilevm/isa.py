@@ -116,16 +116,8 @@ class InstructionKind(IntEnum):
     SyncWait = 51
 
     @property
-    def is_memory(self) -> bool:
-        return self in MEMORY_KINDS
-
-    @property
     def is_sync(self) -> bool:
         return self in SYNC_KINDS
-
-    @property
-    def is_extension(self) -> bool:
-        return self in EXTENSION_KINDS
 
     @property
     def queue(self) -> Queue:
@@ -147,9 +139,6 @@ MEMORY_KINDS = frozenset(
     }
 )
 SYNC_KINDS = frozenset({InstructionKind.SyncSet, InstructionKind.SyncWait})
-EXTENSION_KINDS = frozenset(
-    {InstructionKind.Matmul, InstructionKind.SyncSet, InstructionKind.SyncWait}
-)
 
 
 class EncodeError(ValueError):

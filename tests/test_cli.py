@@ -268,3 +268,81 @@ def test_run_broadcasts_a_one_element_input(tmp_path):
     code, text = _run(["run", path, "--check"])
     assert code == EXIT_OK
     assert "RESULT PASS" in text
+
+
+def _mixed(specs, ops, outputs):
+    tensors = [
+        {"id": tid, "dtype": dtype, "shape": shape, **({"seed": i + 1} if seeded else {})}
+        for i, (tid, dtype, shape, seeded) in enumerate(specs)
+    ]
+    return {"tensors": tensors, "ops": ops, "outputs": outputs}
+
+
+MIXED_DTYPE_CASES = {
+    "vector_copy_f16_to_f32": _mixed(
+        [("a", "f16", [8, 64], True), ("b", "f32", [8, 64], False)],
+        [{"kind": "copy", "in": ["a"], "out": "b"}],
+        ["b"],
+    ),
+    "vector_adds_f16_to_f32": _mixed(
+        [("a", "f16", [8, 64], True), ("b", "f32", [8, 64], False)],
+        [{"kind": "adds", "in": ["a"], "out": "b", "attrs": {"scalar": 3.0}}],
+        ["b"],
+    ),
+    "abs_then_muls_into_f16": _mixed(
+        [("a", "f32", [8, 64], True), ("t", "f32", [8, 64], False),
+         ("b", "f16", [8, 64], False)],
+        [
+            {"kind": "abs", "in": ["a"], "out": "t"},
+            {"kind": "muls", "in": ["t"], "out": "b", "attrs": {"scalar": 1e5}},
+        ],
+        ["b"],
+    ),
+    "cube_vector_matmul_then_copy_to_f16": _mixed(
+        [("a", "f32", [32, 32], True), ("w", "f32", [32, 32], True),
+         ("c", "f32", [32, 32], False), ("d", "f16", [32, 32], False)],
+        [
+            {"kind": "matmul", "in": ["a", "w"], "out": "c"},
+            {"kind": "copy", "in": ["c"], "out": "d"},
+        ],
+        ["d"],
+    ),
+    "sum_f16_into_f32": _mixed(
+        [("a", "f16", [8, 64], True), ("b", "f32", [8, 1], False)],
+        [{"kind": "sum", "in": ["a"], "out": "b"}],
+        ["b"],
+    ),
+    "broadcast_f16_into_f32": _mixed(
+        [("a", "f16", [8, 1], True), ("b", "f32", [8, 64], False)],
+        [{"kind": "broadcast", "in": ["a"], "out": "b", "attrs": {"size": 64}}],
+        ["b"],
+    ),
+    "muls_into_declared_f32_from_f16": _mixed(
+        [("x", "f16", [8, 64], True), ("y", "f32", [8, 64], False)],
+        [{"kind": "muls", "in": ["x"], "out": "y", "attrs": {"scalar": 2.5}}],
+        ["y"],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["static", "stream"])
+@pytest.mark.parametrize("case", sorted(MIXED_DTYPE_CASES))
+def test_mixed_dtype_vector_op_is_rejected(tmp_path, capsys, case, mode):
+    # vector ops keep their operands' dtype; a change needs a cast
+    doc = MIXED_DTYPE_CASES[case]
+    if mode == "static":
+        path = _write(tmp_path, "g.json", doc)
+    else:
+        events = [{"event": "tensor", **t} for t in doc["tensors"]]
+        events += [{"event": "op", **op} for op in doc["ops"]]
+        events += [{"event": "host_read", "tensor": t} for t in doc["outputs"]]
+        events.append({"event": "end"})
+        path = _write(tmp_path, "t.trace", "\n".join(json.dumps(e) for e in events))
+    assert main(["run", path, "--mode", mode, "--check"]) == EXIT_COMPILE_OR_RUN
+    captured = capsys.readouterr()
+    bad = doc["ops"][-1]
+    assert captured.err.startswith(
+        f"error: EncoderError: {bad['kind']} '{bad['out']}': mixed dtypes"
+    ), captured.err
+    assert "insert an explicit cast" in captured.err
+    assert "RESULT" not in captured.out

@@ -13,18 +13,22 @@ from tilevm import (
     ExecutionStats,
     InstructionKind,
     KernelType,
+    OperatorGraph,
     ProgramHeader,
     Queue,
+    RefTensor,
     VirtualInstruction,
     dispatch,
     dispatch_stacked,
     encode_program,
     exec_instruction,
+    ref_execute,
     run_core,
     simulate_timing,
 )
 from tilevm import device as device_mod, isa
 from tilevm.device import VMError, tile_range
+from tilevm.encoder import _OP_TO_KIND
 from tilevm.isa import (
     CmpType,
     TileOrder,
@@ -614,4 +618,112 @@ def test_exec_rejects_unknown_dtype_code():
         extras={"src_dtype": 9, "dst_dtype": 0},
     )
     with pytest.raises(VMError):
+        exec_instruction(insn, 0, _core(device), device)
+
+
+# --- element-wise kinds against the oracle ------------------------------------------
+
+_N = 96
+_SPECIALS = np.array([0.0, -0.0, -1.5, -3.0, np.inf, -np.inf, np.nan, 6.0e4])
+_INT_SPECIALS = {
+    DType.I32: np.array([0, -1, -7, 2**31 - 1, -(2**31)]),
+    DType.U8: np.array([0, 1, 255]),
+}
+
+
+def _operand(rng, dtype):
+    """Random values of one dtype; float ones include 0, -0, negatives,
+    +-inf, NaN and a value near the f16 limit, each at a random position."""
+    if dtype is DType.U8:
+        vals = rng.integers(0, 256, _N)
+    elif dtype is DType.I32:
+        vals = rng.integers(-1000, 1000, _N)
+    else:
+        vals = rng.normal(0.0, 4.0, _N)
+    specials = _INT_SPECIALS.get(dtype, _SPECIALS)
+    vals[rng.choice(_N, specials.size, replace=False)] = specials
+    return vals.astype(isa.NP_DTYPES[dtype])
+
+
+def _elementwise_cases():
+    """(op kind, attrs, input dtypes, output dtype) for every element-wise kind."""
+    dtypes = list(DType)
+    unary = ["copy", "sqrt", "abs", "log", "exp", "round", "floor", "isfinite"]
+    binary = ["add", "sub", "mul", "div", "min", "max", "pow"]
+    for d in dtypes:
+        for kind in unary:
+            yield kind, {}, [d], d
+        for kind in binary:
+            yield kind, {}, [d, d], d
+        yield "adds", {"scalar": -2.75}, [d], d
+        yield "muls", {"scalar": 3.1e4}, [d], d
+        for cmp in CmpType:
+            yield "cmp", {"cmp": int(cmp)}, [d, d], d
+        for src in dtypes:
+            yield "cast", {}, [src], d
+            yield "select", {}, [src, d, d], d  # any condition dtype
+
+
+def test_elementwise_kinds_match_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    kinds = {**_OP_TO_KIND, "copy": InstructionKind.Copy}
+    seen = set()
+    for op_kind, attrs, in_dtypes, out_dtype in _elementwise_cases():
+        for _ in range(3):
+            arrays = [_operand(rng, d) for d in in_dtypes]
+            g = OperatorGraph()
+            names = [f"in{i}" for i in range(len(arrays))]
+            for tid, d in zip(names, in_dtypes):
+                g.tensor(tid, d, (_N,))
+            g.tensor("out", out_dtype, (_N,))
+            g.op(op_kind, names, "out", **attrs)
+            env = ref_execute(
+                g, {t: RefTensor.from_array(a, d) for t, a, d in zip(names, arrays, in_dtypes)}
+            )
+            want = env["out"].data.astype(isa.NP_DTYPES[out_dtype])
+
+            device = DeviceState(1, 4096)
+            core = _core(device)
+            slots = [i * 512 for i in range(len(arrays))]
+            for off, arr, d in zip(slots, arrays, in_dtypes):
+                core.local[off : off + arr.nbytes] = arr.view(np.uint8)
+                core.dtypes[off] = d
+            kind = kinds[op_kind]
+            extras = dict(attrs)
+            if kind is InstructionKind.Cast:
+                extras = {"src_dtype": int(in_dtypes[0]), "dst_dtype": int(out_dtype)}
+            dst, srcs = 2048, tuple(slots)
+            if kind in (InstructionKind.Adds, InstructionKind.Muls):
+                dst, srcs = slots[0], ()  # in place
+            insn = VirtualInstruction(kind, dst, srcs, _N, _N, extras)
+            exec_instruction(insn, 0, core, device)
+            got = core.local[dst : dst + want.nbytes].view(want.dtype)
+            label = (op_kind, attrs, [d.name for d in in_dtypes], out_dtype.name)
+            assert core.dtypes[dst] is out_dtype, label
+            got_nan, want_nan = np.isnan(got.astype(float)), np.isnan(want.astype(float))
+            assert (got_nan == want_nan).all(), label
+            assert got[~got_nan].tobytes() == want[~want_nan].tobytes(), label
+            seen.add(kind)
+    elementwise = set(device_mod._ELEMENTWISE_FNS)
+    assert seen == elementwise
+    assert all(device_mod.INSTRUCTION_TABLE[k] is device_mod._exec_elementwise for k in seen)
+
+
+@pytest.mark.parametrize(
+    "kind, extras",
+    [
+        (InstructionKind.Add, {}),
+        (InstructionKind.Cmp, {"cmp": int(CmpType.LT)}),
+        (InstructionKind.Select, {}),
+    ],
+    ids=["Add", "Cmp", "Select"],
+)
+def test_elementwise_mixed_value_dtypes_rejected(kind, extras):
+    device = DeviceState(1, 4096)
+    _prep(device, 0, [1.0, 0.0], DType.F32)  # Select's condition
+    _prep(device, 64, [2.0, 3.0], DType.F32)
+    _prep(device, 128, [4.0, 5.0], DType.F16)
+    srcs = (0, 64, 128) if kind is InstructionKind.Select else (64, 128)
+    insn = VirtualInstruction(kind, 256, srcs, 2, 2, extras)
+    with pytest.raises(VMError, match="operand dtypes differ"):
         exec_instruction(insn, 0, _core(device), device)

@@ -11,7 +11,6 @@ from tilevm import (
     InstructionKind,
     KernelType,
     OperatorGraph,
-    allocate_local,
     compile_group,
     fuse_static,
     tile_for_group,
@@ -21,12 +20,13 @@ from tilevm import (
 from tilevm.encoder import (
     AllocationError,
     EncoderError,
+    _lower_and_fit,
     bind_group,
     run_groups,
 )
 from tilevm.graph import REDUCTION_KINDS, decompose
 from tilevm.oracle import compare
-from tilevm.isa import Queue, sync_set, sync_wait, VirtualInstruction
+from tilevm.isa import MEMORY_KINDS, Queue, sync_set, sync_wait, VirtualInstruction
 
 from helpers import (
     compound_graph,
@@ -61,8 +61,7 @@ def _f16_add_group():
 
 def test_allocate_local_add_offsets():
     group = _f16_add_group()
-    tg = tile_for_group(group, CFG)
-    alloc = allocate_local(tg, CFG.local_mem_bytes)
+    alloc = tile_for_group(group, CFG).alloc
     assert alloc.slots["a"] == (0, 1664)
     assert alloc.slots["b"] == (1664, 1664)
     assert alloc.slots["c"] == (3328, 1664)
@@ -78,8 +77,7 @@ def test_allocate_local_chain_reuses_dead_block():
         [("add", ["a", "b"], "c", {}), ("sqrt", ["c"], "d", {})],
         ["d"],
     )
-    tg = tile_for_group(group, CFG)
-    alloc = allocate_local(tg, CFG.local_mem_bytes)
+    alloc = tile_for_group(group, CFG).alloc
     assert alloc.slots["d"][0] == alloc.slots["a"][0] == 0  # d reuses a's block
     assert alloc.high_water == 4992
 
@@ -91,8 +89,7 @@ def test_allocate_local_copy_pair():
         ["b"],
     )
     cfg = DeviceConfig(num_cores=1)
-    tg = tile_for_group(group, cfg)
-    alloc = allocate_local(tg, cfg.local_mem_bytes)
+    alloc = tile_for_group(group, cfg).alloc
     # copy aliases its input buffer: a single 64-byte block
     assert alloc.slots["a"] == (0, 64)
     assert alloc.high_water == 64
@@ -102,7 +99,7 @@ def test_allocation_failure_is_detected():
     group = _f16_add_group()
     tg = tile_for_group(group, CFG)
     with pytest.raises(AllocationError):
-        allocate_local(tg, 128)
+        _lower_and_fit(tg, 128)
 
 
 def _bind_all(group, cfg, device=None):
@@ -189,13 +186,13 @@ def test_compute_operands_inside_allocated_blocks():
         ["d"],
     )
     tg, _ = _bind_all(group, CFG)
-    alloc = allocate_local(tg, CFG.local_mem_bytes)
+    alloc = tg.alloc
     program = compile_group(group, tg, CFG)
     spans = sorted(alloc.slots.values())
     def inside(off, nbytes):
         return any(o <= off and off + nbytes <= o + s for o, s in spans)
     for insn in program.instructions():
-        if insn.kind.is_sync or insn.kind.is_memory:
+        if insn.kind.is_sync or insn.kind in MEMORY_KINDS:
             continue
         w = 2
         assert inside(insn.dst, insn.tile_size * w)
