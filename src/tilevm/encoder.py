@@ -268,9 +268,6 @@ class _VectorLowerer(_Lowerer):
         sizes = [self.r] + [shape[d] for d in range(self.b, self.rank)]
         fulls = [self.R] + [shape[d] for d in range(self.b, self.rank)]
         box_strides = [row_stride] + [strides[d] for d in range(self.b, self.rank)]
-        if self.b == self.rank:
-            sizes, fulls, box_strides = [self.r], [self.R], [row_stride]
-            dims = 1
         grid = [self.tg.tiles] + [1] * (dims - 1)
         steps = [self.r] + [0] * (dims - 1)
         self.protos.append(
@@ -660,25 +657,17 @@ def _lower_and_fit(
     return lowering, alloc
 
 
-_SYNCABLE = {
-    (Queue.DMA, Queue.VECTOR),
-    (Queue.VECTOR, Queue.DMA),
-    (Queue.CUBE, Queue.VECTOR),
-    (Queue.DMA, Queue.CUBE),
-    (Queue.CUBE, Queue.DMA),
-    (Queue.VECTOR, Queue.CUBE),
-}
+_LOADS = (InstructionKind.Load, InstructionKind.ViewLoad)
+_STORES = (InstructionKind.Store, InstructionKind.ViewStore)
 
 
-def _needs_sync(producer: _Proto, consumer: _Proto) -> bool:
-    pq, cq = producer.kind.queue, consumer.kind.queue
-    if pq != cq:
-        return (pq, cq) in _SYNCABLE
-    # loads feeding stores cross the DMA read/write engines
-    return producer.kind in (
-        InstructionKind.Load,
-        InstructionKind.ViewLoad,
-    ) and consumer.kind in (InstructionKind.Store, InstructionKind.ViewStore)
+def _crosses_queues(producer: InstructionKind, consumer: InstructionKind) -> bool:
+    """Whether a read of ``producer``'s result by ``consumer`` needs a sync
+    pair: they run on different queues, or a load feeds a store across the
+    DMA read/write engines."""
+    return producer.queue != consumer.queue or (
+        producer in _LOADS and consumer in _STORES
+    )
 
 
 def _emit(
@@ -698,7 +687,7 @@ def _emit(
             if prod_entry is None:
                 continue
             idx, src_proto = prod_entry
-            if not _needs_sync(src_proto, p):
+            if not _crosses_queues(src_proto.kind, p.kind):
                 continue
             key = (src_proto.kind.queue, p.kind.queue)
             if last_pair.get(key, -1) > idx:
@@ -721,13 +710,13 @@ def _materialize(
     p: _Proto, alloc: LocalAllocation, g: OperatorGraph
 ) -> VirtualInstruction:
     extras = dict(p.extras)
-    if p.kind in (InstructionKind.Store, InstructionKind.ViewStore):
+    if p.kind in _STORES:
         meta = g.tensors[p.global_tensor]
         if meta.addr is None:
             raise EncoderError(f"stored tensor {p.global_tensor} is not bound")
         dst = meta.addr
         srcs = tuple(alloc.offset_of(s) for s in p.srcs)
-    elif p.kind in (InstructionKind.Load, InstructionKind.ViewLoad):
+    elif p.kind in _LOADS:
         meta = g.tensors[p.global_tensor]
         if meta.addr is None:
             raise EncoderError(f"loaded tensor {p.global_tensor} is not bound")
@@ -766,26 +755,21 @@ def validate_sync(insns: list[VirtualInstruction]) -> None:
         reads = list(insn.srcs)
         if insn.kind in (InstructionKind.Adds, InstructionKind.Muls):
             reads.append(insn.dst)
-        if insn.kind in (InstructionKind.Load, InstructionKind.ViewLoad):
+        if insn.kind in _LOADS:
             reads = []  # loads read global memory, not local buffers
         for off in reads:
             hit = writer.get(off)
             if hit is None:
                 continue
             i, w = hit
-            pq, cq = w.kind.queue, insn.kind.queue
-            cross = pq != cq or (
-                w.kind in (InstructionKind.Load, InstructionKind.ViewLoad)
-                and insn.kind in (InstructionKind.Store, InstructionKind.ViewStore)
-            )
-            if not cross:
+            if not _crosses_queues(w.kind, insn.kind):
                 continue
-            if not bracketed(i, j, pq, cq):
+            if not bracketed(i, j, w.kind.queue, insn.kind.queue):
                 raise EncoderError(
                     f"unsynchronized dependency: insn {i} ({w.kind.name}) -> "
                     f"insn {j} ({insn.kind.name}) at local 0x{off:x}"
                 )
-        if insn.kind not in (InstructionKind.Store, InstructionKind.ViewStore):
+        if insn.kind not in _STORES:
             writer[insn.dst] = (j, insn)
 
 

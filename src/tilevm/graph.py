@@ -320,8 +320,16 @@ class OperatorGraph:
                 f"{op.kind}: input shapes not broadcast-unifiable: "
                 f"{[t.shape for t in ins]}"
             )
-        if unify_shapes(shape, out.shape, self.symbols) is None:
-            raise GraphError(f"{op.kind}: output shape {out.shape} does not unify")
+        # the output may broadcast further, but must not drop any input element
+        full = unify_shapes(shape, out.shape, self.symbols)
+        value = self.symbols.value_of
+        if full is None or len(out.shape) < len(full) or any(
+            value(o) == 1 != value(f) for o, f in zip(out.shape, full)
+        ):
+            raise GraphError(
+                f"{op.kind}: output shape {out.shape} does not cover "
+                f"the broadcast input shape {shape}"
+            )
 
     def producer(self, tid: str) -> BasicOp | None:
         return self._producers.get(tid)

@@ -20,6 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
+from itertools import groupby
 from math import ceil
 from typing import Iterator
 
@@ -205,8 +206,9 @@ def sync_wait(flag: int, queue: Queue) -> VirtualInstruction:
 
 
 # Operand schemas.  Field codes: A = u64 address, U = u32, F = f64 bits,
-# V = u32-length-prefixed u32 array.  Names "dst"/"src<i>" bind to the
-# instruction fields; everything else lives in extras.
+# V = u32-length-prefixed u32 array.  Names "dst", "src<i>", "tile_size"
+# and "total_size" bind to the instruction fields, "sync" packs the extras
+# (queue << 8) | flag, and every other name is an extra.
 _UNARY = (("dst", "A"), ("src0", "A"), ("tile_size", "U"), ("total_size", "U"))
 _BINARY = (
     ("dst", "A"),
@@ -320,94 +322,79 @@ SCHEMAS: dict[InstructionKind, tuple[tuple[str, str], ...]] = {
     InstructionKind.SyncWait: _SYNC,
 }
 
-_SRC_COUNT = {
-    kind: sum(1 for name, _ in schema if name.startswith("src") and name[3:].isdigit())
+_RECORD_HEADER = struct.Struct("<HH")
+_HEADER = struct.Struct("<IIII")
+_FIXED_FORMATS = {"A": "Q", "U": "I", "F": "d"}
+
+_Layout = tuple[tuple[tuple[str, ...], struct.Struct | None], ...]
+
+
+def _compile_layout(schema: tuple[tuple[str, str], ...]) -> _Layout:
+    """One ``struct.Struct`` per run of fixed-width fields, and ``None`` for
+    each array field, in schema order."""
+    runs: list = []
+    for is_array, group in groupby(schema, key=lambda f: f[1] == "V"):
+        fields = list(group)
+        if is_array:
+            runs.extend(((name,), None) for name, _ in fields)
+        else:
+            fmt = "<" + "".join(_FIXED_FORMATS[code] for _, code in fields)
+            runs.append((tuple(name for name, _ in fields), struct.Struct(fmt)))
+    return tuple(runs)
+
+
+_LAYOUTS = {kind: _compile_layout(schema) for kind, schema in SCHEMAS.items()}
+_SRC_NAMES = {
+    kind: tuple(n for n, _ in schema if n.startswith("src") and n[3:].isdigit())
     for kind, schema in SCHEMAS.items()
 }
 
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
-_HEADER = struct.Struct("<IIII")
-
-
-def _is_src(name: str) -> bool:
-    return name.startswith("src") and name[3:].isdigit()
-
-
-def _field_value(insn: VirtualInstruction, name: str):
-    if name == "dst":
-        return insn.dst
-    if _is_src(name):
-        idx = int(name[3:])
-        if idx >= len(insn.srcs):
-            raise EncodeError(f"{insn.kind.name}: missing source operand {idx}")
-        return insn.srcs[idx]
-    if name == "tile_size":
-        return insn.tile_size
-    if name == "total_size":
-        return insn.total_size
-    if name == "sync":
-        try:
-            return (int(insn.extras["queue"]) << 8) | int(insn.extras["flag"])
-        except KeyError as exc:
-            raise EncodeError(f"{insn.kind.name}: missing extra {exc}") from None
-    try:
-        return insn.extras[name]
-    except KeyError:
-        raise EncodeError(f"{insn.kind.name}: missing extra {name!r}") from None
-
-
-def _check_u(value: int, bits: int, ctx: str) -> int:
-    value = int(value)
-    if not 0 <= value < (1 << bits):
-        raise EncodeError(f"{ctx}: value {value} out of u{bits} range")
-    return value
-
 
 def encode_instruction(insn: VirtualInstruction) -> bytes:
-    """Encode one instruction into its wire record."""
+    """Encode one instruction into its wire record.
+
+    Every field is 4 or 8 bytes wide, so records never need padding.
+    """
     insn.validate()
-    schema = SCHEMAS.get(insn.kind)
-    if schema is None:
-        raise EncodeError(f"no schema for instruction kind {insn.kind}")
-    if len(insn.srcs) != _SRC_COUNT[insn.kind]:
+    kind = insn.kind
+    src_names = _SRC_NAMES[kind]
+    if len(insn.srcs) != len(src_names):
         raise EncodeError(
-            f"{insn.kind.name}: expected {_SRC_COUNT[insn.kind]} sources, "
-            f"got {len(insn.srcs)}"
+            f"{kind.name}: expected {len(src_names)} sources, got {len(insn.srcs)}"
         )
-    parts = [b""]  # placeholder for the 4-byte record header
-    for name, code in schema:
-        value = _field_value(insn, name)
-        ctx = f"{insn.kind.name}.{name}"
-        if code == "A":
-            parts.append(_U64.pack(_check_u(value, 64, ctx)))
-        elif code == "U":
-            parts.append(_U32.pack(_check_u(value, 32, ctx)))
-        elif code == "F":
-            parts.append(_F64.pack(float(value)))
-        elif code == "V":
-            items = tuple(value)
-            parts.append(_U32.pack(_check_u(len(items), 32, ctx)))
-            parts.extend(_U32.pack(_check_u(v, 32, ctx)) for v in items)
-        else:  # pragma: no cover - schema table is static
-            raise AssertionError(code)
-    length = 4 + sum(len(p) for p in parts)
-    pad = (-length) % 4
-    length += pad
-    if length > 0xFFFF:
-        raise EncodeError(f"{insn.kind.name}: record length {length} exceeds u16")
-    parts[0] = _U16.pack(int(insn.kind)) + _U16.pack(length)
-    return b"".join(parts) + b"\x00" * pad
+    fields = {
+        **insn.extras,
+        "dst": insn.dst,
+        "tile_size": insn.tile_size,
+        "total_size": insn.total_size,
+    }
+    fields.update(zip(src_names, insn.srcs))
+    parts = []
+    names: tuple[str, ...] = ()
+    try:
+        if kind.is_sync:
+            fields["sync"] = (int(fields["queue"]) << 8) | int(fields["flag"])
+        for names, run in _LAYOUTS[kind]:
+            if run is None:
+                items = fields[names[0]]
+                parts.append(struct.pack(f"<I{len(items)}I", len(items), *items))
+            else:
+                parts.append(run.pack(*[fields[n] for n in names]))
+    except KeyError as exc:
+        raise EncodeError(f"{kind.name}: missing operand {exc}") from None
+    except struct.error as exc:
+        raise EncodeError(f"{kind.name}.{'/'.join(names)}: {exc}") from None
+    body = b"".join(parts)
+    if len(body) + 4 > 0xFFFF:
+        raise EncodeError(f"{kind.name}: record length {len(body) + 4} exceeds u16")
+    return _RECORD_HEADER.pack(kind, len(body) + 4) + body
 
 
 def decode_instruction(buf: bytes, offset: int = 0) -> tuple[VirtualInstruction, int]:
     """Decode the record at ``offset``; returns (instruction, record length)."""
     if offset + 4 > len(buf):
         raise TruncatedRecordError(f"record header overruns buffer at offset {offset}")
-    insn_id = _U16.unpack_from(buf, offset)[0]
-    length = _U16.unpack_from(buf, offset + 2)[0]
+    insn_id, length = _RECORD_HEADER.unpack_from(buf, offset)
     try:
         kind = InstructionKind(insn_id)
     except ValueError:
@@ -418,71 +405,49 @@ def decode_instruction(buf: bytes, offset: int = 0) -> tuple[VirtualInstruction,
         raise MalformedOperandError(
             f"{kind.name}: bad Insn_Len {length} at offset {offset}"
         )
-    if offset + length > len(buf):
+    end = offset + length
+    if end > len(buf):
         raise TruncatedRecordError(
             f"{kind.name}: Insn_Len {length} overruns buffer at offset {offset}"
         )
-    end = offset + length
     pos = offset + 4
-
-    def take(n: int) -> int:
-        nonlocal pos
-        if pos + n > end:
+    fields: dict = {}
+    for names, run in _LAYOUTS[kind]:
+        if pos + (4 if run is None else run.size) > end:
             raise MalformedOperandError(
                 f"{kind.name}: operand overruns record at offset {offset}"
             )
-        pos += n
-        return pos - n
-
-    dst = 0
-    srcs: list[int] = []
-    tile_size = 1
-    total_size = 1
-    extras: dict = {}
-    for name, code in SCHEMAS[kind]:
-        if code == "A":
-            value: object = _U64.unpack_from(buf, take(8))[0]
-        elif code == "U":
-            value = _U32.unpack_from(buf, take(4))[0]
-        elif code == "F":
-            value = _F64.unpack_from(buf, take(8))[0]
-        else:  # V
-            count = _U32.unpack_from(buf, take(4))[0]
+        if run is None:
+            (count,) = struct.unpack_from("<I", buf, pos)
+            pos += 4
             if pos + 4 * count > end:
                 raise MalformedOperandError(
                     f"{kind.name}: array of {count} overruns record at offset {offset}"
                 )
-            value = tuple(
-                _U32.unpack_from(buf, take(4))[0] for _ in range(count)
-            )
-        if name == "dst":
-            dst = value  # type: ignore[assignment]
-        elif _is_src(name):
-            srcs.append(value)  # type: ignore[arg-type]
-        elif name == "tile_size":
-            tile_size = value  # type: ignore[assignment]
-        elif name == "total_size":
-            total_size = value  # type: ignore[assignment]
-        elif name == "sync":
-            extras["flag"] = value & 0xFF  # type: ignore[operator]
-            extras["queue"] = (value >> 8) & 0xFF  # type: ignore[operator]
+            fields[names[0]] = struct.unpack_from(f"<{count}I", buf, pos)
+            pos += 4 * count
         else:
-            extras[name] = value
-    if end - pos >= 4 or any(buf[i] != 0 for i in range(pos, end)):
+            fields.update(zip(names, run.unpack_from(buf, pos)))
+            pos += run.size
+    if end - pos >= 4 or any(buf[pos:end]):
         raise MalformedOperandError(
             f"{kind.name}: {end - pos} trailing operand bytes at offset {offset}"
         )
-    if "dims" in extras:
-        dims = extras["dims"]
+    dst = fields.pop("dst", 0)
+    srcs = tuple(fields.pop(n) for n in _SRC_NAMES[kind])
+    tile_size = fields.pop("tile_size", 1)
+    total_size = fields.pop("total_size", 1)
+    if "sync" in fields:
+        word = fields.pop("sync")
+        fields["flag"], fields["queue"] = word & 0xFF, (word >> 8) & 0xFF
+    if "dims" in fields:
+        dims = fields["dims"]
         for key in ("grid", "steps", "offsets", "sizes", "fulls", "strides"):
-            if len(extras[key]) != dims:
+            if len(fields[key]) != dims:
                 raise MalformedOperandError(
-                    f"{kind.name}: {key} length {len(extras[key])} != dims {dims}"
+                    f"{kind.name}: {key} length {len(fields[key])} != dims {dims}"
                 )
-    return (
-        VirtualInstruction(kind, dst, tuple(srcs), tile_size, total_size, extras),
-        length,
-    )
+    return VirtualInstruction(kind, dst, srcs, tile_size, total_size, fields), length
 
 
 class KernelType(IntEnum):

@@ -270,6 +270,25 @@ def test_run_broadcasts_a_one_element_input(tmp_path):
     assert "RESULT PASS" in text
 
 
+@pytest.mark.parametrize("mode", ["static", "stream"])
+def test_output_smaller_than_input_broadcast_is_parse_error(tmp_path, capsys, mode):
+    tensors = [
+        {"id": "a", "dtype": "f32", "shape": [4, 8], "seed": 1},
+        {"id": "b", "dtype": "f32", "shape": [1, 8]},
+    ]
+    op = {"kind": "abs", "in": ["a"], "out": "b"}
+    if mode == "static":
+        path = _write(tmp_path, "g.json", {"tensors": tensors, "ops": [op], "outputs": ["b"]})
+    else:
+        events = [{"event": "tensor", **t} for t in tensors]
+        events += [{"event": "op", **op}, {"event": "host_read", "tensor": "b"}]
+        path = _write(tmp_path, "t.trace", "\n".join(json.dumps(e) for e in events))
+    assert main(["run", path, "--mode", mode, "--check"]) == EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert "abs: output shape (1, 8) does not cover" in err
+    assert "Traceback" not in err
+
+
 def _mixed(specs, ops, outputs):
     tensors = [
         {"id": tid, "dtype": dtype, "shape": shape, **({"seed": i + 1} if seeded else {})}

@@ -68,6 +68,25 @@ def test_matmul_shape_check():
         g.op("matmul", ["a", "b"], "c")
 
 
+def test_elementwise_output_covers_input_broadcast():
+    g = OperatorGraph()
+    g.symbols.declare("n")
+    for tid, shape in (
+        ("a", (4, 8)), ("row", (1, 8)), ("flat", (8,)), ("same", (4, 8)),
+        ("wide", (2, 4, 8)), ("s", ("n", 8)), ("s_row", (1, 8)), ("s_out", ("n", 8)),
+    ):
+        g.tensor(tid, "f32", shape)
+    # an output smaller than the broadcast of its inputs would drop elements
+    for out in ("row", "flat"):
+        with pytest.raises(GraphError, match="does not cover"):
+            g.op("abs", ["a"], out)
+    with pytest.raises(GraphError, match="does not cover"):
+        g.op("abs", ["s"], "s_row")  # an unbound symbol may exceed 1
+    g.op("abs", ["a"], "same")
+    g.op("abs", ["a"], "wide")  # an output may broadcast further
+    g.op("abs", ["s"], "s_out")
+
+
 def test_decompose_addmm():
     a = TensorMeta("a", DType.F32, (2, 3))
     b = TensorMeta("b", DType.F32, (3, 4))

@@ -16,7 +16,7 @@ from tilevm import (
 from tilevm.encoder import bind_group, run_groups
 from tilevm.isa import TileOrder
 
-from helpers import oracle_env
+from helpers import oracle_env, random_vector_graph, run_static
 
 
 def _matmul_graph(m, k, n, dtype="f32"):
@@ -321,3 +321,30 @@ def test_u8_bool_tensors_match_oracle():
     env = oracle_env(g, inputs)
     for tid in g.outputs:
         assert np.array_equal(out[tid].astype(np.float64), env[tid].data), tid
+
+
+def test_vector_outputs_invariant_to_plan_cores_and_local_memory():
+    # one group per op, the core count and a row cap set by a smaller local
+    # memory change the tiling but not one bit of a vector-only result
+    rng = np.random.default_rng(2026)
+    plans = [
+        (DeviceConfig(num_cores=40), True),
+        (DeviceConfig(num_cores=1), False),
+        (DeviceConfig(num_cores=7), False),
+        (DeviceConfig(num_cores=1, local_mem_bytes=16 * 1024), False),
+    ]
+    capped = 0
+    for _ in range(20):
+        g, inputs = random_vector_graph(rng, max_ops=6, max_cols=256)
+        want, _, groups = run_static(g, inputs, DeviceConfig(num_cores=40))
+        for cfg, singleton in plans:
+            got, _, _ = run_static(g, inputs, cfg, singleton=singleton)
+            for tid in g.outputs:
+                assert got[tid].dtype == want[tid].dtype, tid
+                assert got[tid].tobytes() == want[tid].tobytes(), (cfg, singleton, tid)
+        rows = [
+            [tile_for_group(grp, cfg).rows_per_tile for grp in groups]
+            for cfg, _ in plans[1::2]
+        ]
+        capped += rows[0] != rows[1]
+    assert capped >= 10, capped

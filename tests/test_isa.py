@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from tilevm import (
     BytecodeProgram,
+    CmpType,
     DType,
     InstructionKind,
     KernelType,
@@ -40,8 +43,6 @@ def _add_insn():
 
 def test_add_record_hand_assembled():
     # 4-byte header, 3 u64 addresses, 2 u32 counts -> 36 bytes
-    import struct
-
     expected = struct.pack("<HHQQQII", 22, 36, 0, 0x1000, 0x2000, 832, 32768)
     got = encode_instruction(_add_insn())
     assert got == expected
@@ -53,6 +54,107 @@ def test_sync_set_record_hand_assembled():
     got = encode_instruction(sync_set(0, Queue.DMA))
     assert got == bytes.fromhex("3200080000000000")
     assert len(got) == 8
+
+
+def _insn(kind, dst=0, srcs=(), tile=1, total=1, **extras):
+    return VirtualInstruction(InstructionKind[kind], dst, srcs, tile, total, extras)
+
+
+_VIEW_EXTRAS = {
+    "dtype": int(DType.F32),
+    "dims": 2,
+    "order": 1,
+    "grid": (4, 2),
+    "steps": (2, 4),
+    "offsets": (0, 1),
+    "sizes": (2, 4),
+    "fulls": (8, 8),
+    "strides": (8, 1),
+}
+
+# Each record is built from the README's field rules, independently of the
+# codec: header (u16 id, u16 length), addresses u64, counts u32, immediates
+# f64, arrays u32 count + u32 items.
+WIRE_CASES = {
+    "Load": (
+        _insn("Load", 0x40, (0x1000,), 16, 64, tile_stride=32, dtype=int(DType.F16)),
+        struct.pack("<HHQQIIII", 0, 36, 0x40, 0x1000, 32, 16, 64, 0),
+    ),
+    "ViewLoad": (
+        _insn("ViewLoad", 0x80, (0x2000,), 8, 64, **_VIEW_EXTRAS),
+        struct.pack("<HHQQIII", 1, 112, 0x80, 0x2000, 1, 2, 1)
+        + struct.pack(
+            "<18I", 2, 4, 2, 2, 2, 4, 2, 0, 1, 2, 2, 4, 2, 8, 8, 2, 8, 1
+        )
+        + struct.pack("<II", 8, 64),
+    ),
+    "Broadcast": (
+        _insn("Broadcast", 0x100, (0x20,), 48, 96, m=2, size=8, n=3),
+        struct.pack("<HHQQIIIII", 11, 40, 0x100, 0x20, 2, 8, 3, 48, 96),
+    ),
+    "Adds": (
+        _insn("Adds", 0x60, (), 16, 64, scalar=0.1),
+        struct.pack("<HHQdII", 20, 28, 0x60, 0.1, 16, 64),
+    ),
+    "Cmp": (
+        _insn("Cmp", 0x10, (0x20, 0x30), 4, 4, cmp=int(CmpType.GE)),
+        struct.pack("<HHQQQIII", 28, 40, 0x10, 0x20, 0x30, 5, 4, 4),
+    ),
+    "Cast": (
+        _insn(
+            "Cast", 0x10, (0x20,), 4, 8,
+            src_dtype=int(DType.F32), dst_dtype=int(DType.I32),
+        ),
+        struct.pack("<HHQQIIII", 29, 36, 0x10, 0x20, 1, 2, 4, 8),
+    ),
+    "Select": (
+        _insn("Select", 0x10, (0x20, 0x30, 0x40), 4, 4),
+        struct.pack("<HHQQQQII", 33, 44, 0x10, 0x20, 0x30, 0x40, 4, 4),
+    ),
+    "Matmul": (
+        _insn(
+            "Matmul", 0x10, (0x20, 0x30), 256, 1024,
+            m=16, k=32, n=16, m_total=32, n_total=32,
+            grid_r=2, grid_c=2, order=2, acc=1,
+        ),
+        struct.pack(
+            "<HHQQQ11I", 40, 72, 0x10, 0x20, 0x30,
+            16, 32, 16, 32, 32, 2, 2, 2, 1, 256, 1024,
+        ),
+    ),
+    "SyncWait": (
+        sync_wait(5, Queue.CUBE),
+        struct.pack("<HHI", 51, 8, (2 << 8) | 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_CASES))
+def test_record_wire_format(name):
+    insn, expected = WIRE_CASES[name]
+    assert encode_instruction(insn) == expected
+    assert decode_instruction(expected) == (insn, len(expected))
+
+
+def _view_without_strides():
+    extras = {k: v for k, v in _VIEW_EXTRAS.items() if k != "strides"}
+    return _insn("ViewLoad", 0, (0,), 8, 64, **extras)
+
+
+ENCODE_ERROR_CASES = {
+    "negative_dst": lambda: _insn("Abs", -1, (0,)),
+    "array_item_2_32": lambda: _insn(
+        "ViewLoad", 0, (0,), 8, 64, **{**_VIEW_EXTRAS, "fulls": (8, 1 << 32)}
+    ),
+    "view_without_strides": _view_without_strides,
+    "sync_set_without_flag": lambda: _insn("SyncSet", queue=int(Queue.DMA)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODE_ERROR_CASES))
+def test_encode_rejects_bad_operands(name):
+    with pytest.raises(EncodeError):
+        encode_instruction(ENCODE_ERROR_CASES[name]())
 
 
 def test_roundtrip_identity_examples():
@@ -99,8 +201,6 @@ def test_record_length_multiple_of_four():
 
 
 def test_decode_unknown_instruction():
-    import struct
-
     rec = struct.pack("<HH", 999, 8) + b"\x00" * 4
     with pytest.raises(UnknownInstructionError):
         decode_instruction(rec)
@@ -113,8 +213,6 @@ def test_decode_truncated_record():
 
 
 def test_decode_malformed_operands():
-    import struct
-
     # SyncSet frame claiming 12 bytes: 4 trailing operand bytes too many
     rec = struct.pack("<HHI", 50, 12, 0) + b"\x01\x00\x00\x00"
     with pytest.raises(MalformedOperandError):
@@ -122,8 +220,6 @@ def test_decode_malformed_operands():
 
 
 def test_decode_bad_length_field():
-    import struct
-
     with pytest.raises(MalformedOperandError):
         decode_instruction(struct.pack("<HH", 22, 6) + b"\x00\x00")
 
