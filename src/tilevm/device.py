@@ -6,8 +6,9 @@ the decoded program body once per assigned tile, calling the matching
 entry of the instruction table; memory instructions receive the tile index
 for address generation.  A program's body is decoded once and shared by
 every core.  The timing model is a separate discrete-event pass over the
-same program that still charges a decode per record per tile; it never
-touches memory.
+same program: it computes each tile's costs once, simulates each distinct
+core once, still charges a decode per record per tile, and never touches
+memory.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .isa import (
     CmpType,
     DType,
     InstructionKind,
+    MEMORY_KINDS,
     NP_DTYPES,
     Queue,
     VirtualInstruction,
@@ -144,7 +146,6 @@ class ExecutionStats:
         self.instruction_counts[kind.name] = (
             self.instruction_counts.get(kind.name, 0) + n
         )
-
 
 
 def _dtype(code: int) -> DType:
@@ -516,86 +517,91 @@ def _check_disjoint_writes(device: DeviceState, offset: int, count: int) -> None
 
 # --- timing model --------------------------------------------------------------
 
+_BUSY_KEYS = {Queue.DMA: "dma", Queue.VECTOR: "vector", Queue.CUBE: "cube"}
+
 
 def _instruction_cost(insn: VirtualInstruction, tile: int, cfg: DeviceConfig) -> float:
     kind = insn.kind
-    if kind in (InstructionKind.Load, InstructionKind.Store):
-        if (
-            kind is InstructionKind.Store
-            and insn.tile_size >= insn.total_size
-            and tile > 0
-        ):
-            return 0.0
-        w = _dtype(insn.extras["dtype"]).nbytes
-        return insn.effective_size(tile) * w * cfg.dma_cost_per_byte
-    if kind in (InstructionKind.ViewLoad, InstructionKind.ViewStore):
-        _, effs = _view_geometry(insn, tile)
-        w = _dtype(insn.extras["dtype"]).nbytes
-        return prod(effs) * w * cfg.dma_cost_per_byte
     if kind is InstructionKind.Matmul:
         _, _, m_eff, n_eff = matmul_effective(insn, tile)
         return m_eff * insn.extras["k"] * n_eff * cfg.cube_cost_per_mac
-    return insn.effective_size(tile) * cfg.vector_cost_per_elem
+    if kind not in MEMORY_KINDS:
+        return insn.effective_size(tile) * cfg.vector_cost_per_elem
+    w = _dtype(insn.extras["dtype"]).nbytes
+    if kind in (InstructionKind.ViewLoad, InstructionKind.ViewStore):
+        return prod(_view_geometry(insn, tile)[1]) * w * cfg.dma_cost_per_byte
+    if kind is InstructionKind.Store and insn.tile_size >= insn.total_size and tile > 0:
+        return 0.0  # non-advancing output: only tile 0 writes
+    return insn.effective_size(tile) * w * cfg.dma_cost_per_byte
 
 
-def _simulate_core(
-    insns: list[VirtualInstruction],
-    tiles: range,
-    cfg: DeviceConfig,
-    decode_cost: float,
-    sync_cost: float,
-) -> tuple[float, dict[str, float]]:
-    scalar_t = 0.0
-    qfree = {Queue.DMA: 0.0, Queue.VECTOR: 0.0, Queue.CUBE: 0.0}
-    gate = {Queue.DMA: 0.0, Queue.VECTOR: 0.0, Queue.CUBE: 0.0}
-    release: dict[int, float] = {}
+def _simulate_core(steps, tile_costs, cfg) -> tuple[float, float, dict[str, float]]:
+    """(makespan, exec-only makespan, busy) of one core's tile cost sequence;
+    the exec-only schedule runs alongside, its scalar clock held at 0."""
+    dec, syn, scalar_t = cfg.decode_cost, cfg.sync_cost, 0.0
+    qfree, qfree0 = dict.fromkeys(_BUSY_KEYS, 0.0), dict.fromkeys(_BUSY_KEYS, 0.0)
+    gate, gate0 = dict(qfree), dict(qfree)
+    release, release0 = {}, {}
     busy = {"scalar": 0.0, "dma": 0.0, "vector": 0.0, "cube": 0.0}
-    for tile in tiles:
-        for insn in insns:
-            scalar_t += decode_cost
-            busy["scalar"] += decode_cost
-            decode_done = scalar_t
-            if insn.kind is InstructionKind.SyncSet:
-                scalar_t += sync_cost
-                busy["scalar"] += sync_cost
-                q = Queue(insn.extras["queue"])
-                release[insn.extras["flag"]] = qfree.get(q, scalar_t)
-            elif insn.kind is InstructionKind.SyncWait:
-                scalar_t += sync_cost
-                busy["scalar"] += sync_cost
-                q = Queue(insn.extras["queue"])
-                if q in gate:
-                    gate[q] = max(gate[q], release.get(insn.extras["flag"], 0.0))
-            else:
-                q = insn.kind.queue
-                cost = _instruction_cost(insn, tile, cfg)
-                start = max(qfree[q], decode_done, gate[q])
-                qfree[q] = start + cost
-                busy[{Queue.DMA: "dma", Queue.VECTOR: "vector", Queue.CUBE: "cube"}[q]] += cost
-    return max(scalar_t, *qfree.values()), busy
+    for costs in tile_costs:
+        for (sync, q, key, flag), cost in zip(steps, costs):
+            scalar_t += dec
+            busy["scalar"] += dec
+            if sync is None:
+                qfree[q] = max(qfree[q], scalar_t, gate[q]) + cost
+                qfree0[q] = max(qfree0[q], gate0[q]) + cost
+                busy[key] += cost
+                continue
+            scalar_t += syn
+            busy["scalar"] += syn
+            if sync is InstructionKind.SyncSet:
+                release[flag] = qfree.get(q, scalar_t)
+                release0[flag] = qfree0.get(q, 0.0)
+            elif q in gate:
+                gate[q] = max(gate[q], release.get(flag, 0.0))
+                gate0[q] = max(gate0[q], release0.get(flag, 0.0))
+    return max(scalar_t, *qfree.values()), max(0.0, *qfree0.values()), busy
+
+
+def _core_schedules(program: BytecodeProgram, cfg: DeviceConfig) -> list[tuple]:
+    """(makespan, exec-only makespan, busy) per core.  Costs depend on the
+    tile, not the core, so each tile's cost vector is computed once and
+    cores with equal cost sequences share one simulation."""
+    insns, header = program.instructions(), program.header
+    steps, costed = [], []  # costed: None for syncs, which take no queue time
+    for insn in insns:
+        sync = insn.kind if insn.kind.is_sync else None
+        q = Queue(insn.extras["queue"]) if sync else insn.kind.queue
+        steps.append((sync, q, _BUSY_KEYS.get(q), insn.extras.get("flag")))
+        costed.append(None if sync else insn)
+    vectors, ids = {}, []  # distinct cost vector -> id; each tile's id
+    for t in range(header.total_tiles):
+        vector = tuple(_instruction_cost(i, t, cfg) if i else 0.0 for i in costed)
+        ids.append(vectors.setdefault(vector, len(vectors)))
+    by_id, classes, schedules = list(vectors), {}, []
+    for core_id in range(header.block_dim):
+        tiles = tile_range(core_id, header.total_tiles, header.block_dim)
+        key = tuple(ids[tiles.start : tiles.stop])
+        if key not in classes:
+            classes[key] = _simulate_core(steps, [by_id[i] for i in key], cfg)
+        span, span0, busy = classes[key]
+        schedules.append((span, span0, dict(busy)))  # each core owns its busy
+    return schedules
 
 
 def simulate_timing(program: BytecodeProgram, cfg: DeviceConfig) -> ExecutionStats:
     """Discrete-event model of decode/queue overlap; pure, touches no memory."""
     insns = program.instructions()
-    header = program.header
-    stats = ExecutionStats()
-    spans, spans0 = [], []
-    for core_id in range(header.block_dim):
-        tiles = tile_range(core_id, header.total_tiles, header.block_dim)
-        span, busy = _simulate_core(insns, tiles, cfg, cfg.decode_cost, cfg.sync_cost)
-        span0, _ = _simulate_core(insns, tiles, cfg, 0.0, 0.0)
-        spans.append(span)
-        spans0.append(span0)
-        stats.per_core_busy.append(busy)
-    stats.makespan = max(spans)
-    stats.makespan_exec_only = max(spans0)
+    spans, spans0, busy = zip(*_core_schedules(program, cfg))
     n_sync = sum(1 for i in insns if i.kind.is_sync)
-    stats.decode_burst = cfg.decode_cost * len(insns) + cfg.sync_cost * n_sync
-    stats.decode_hidden = (
-        stats.makespan <= stats.makespan_exec_only + stats.decode_burst + 1e-9
+    burst = cfg.decode_cost * len(insns) + cfg.sync_cost * n_sync
+    return ExecutionStats(
+        per_core_busy=list(busy),
+        makespan=max(spans),
+        makespan_exec_only=max(spans0),
+        decode_burst=burst,
+        decode_hidden=max(spans) <= max(spans0) + burst + 1e-9,
     )
-    return stats
 
 
 def dispatch_stacked(
@@ -633,10 +639,4 @@ def dispatch_stacked(
 
 
 def _member_spans(program: BytecodeProgram, cfg: DeviceConfig) -> list[float]:
-    insns = program.instructions()
-    spans = []
-    for core_id in range(program.header.block_dim):
-        tiles = tile_range(core_id, program.header.total_tiles, program.header.block_dim)
-        span, _ = _simulate_core(insns, tiles, cfg, cfg.decode_cost, cfg.sync_cost)
-        spans.append(span)
-    return spans
+    return [span for span, _, _ in _core_schedules(program, cfg)]

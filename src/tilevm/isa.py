@@ -344,6 +344,7 @@ def _compile_layout(schema: tuple[tuple[str, str], ...]) -> _Layout:
 
 
 _LAYOUTS = {kind: _compile_layout(schema) for kind, schema in SCHEMAS.items()}
+_QUEUE_IDS = frozenset(map(int, Queue))
 _SRC_NAMES = {
     kind: tuple(n for n, _ in schema if n.startswith("src") and n[3:].isdigit())
     for kind, schema in SCHEMAS.items()
@@ -373,7 +374,10 @@ def encode_instruction(insn: VirtualInstruction) -> bytes:
     names: tuple[str, ...] = ()
     try:
         if kind.is_sync:
-            fields["sync"] = (int(fields["queue"]) << 8) | int(fields["flag"])
+            flag, queue = int(fields["flag"]), int(fields["queue"])
+            if not 0 <= flag <= 0xFF or queue not in _QUEUE_IDS:
+                raise EncodeError(f"{kind.name}: flag {flag} or queue {queue} out of range")
+            fields["sync"] = (queue << 8) | flag
         for names, run in _LAYOUTS[kind]:
             if run is None:
                 items = fields[names[0]]
@@ -439,7 +443,11 @@ def decode_instruction(buf: bytes, offset: int = 0) -> tuple[VirtualInstruction,
     total_size = fields.pop("total_size", 1)
     if "sync" in fields:
         word = fields.pop("sync")
-        fields["flag"], fields["queue"] = word & 0xFF, (word >> 8) & 0xFF
+        fields["flag"], fields["queue"] = word & 0xFF, word >> 8
+        if fields["queue"] not in _QUEUE_IDS:  # also any bit above bit 15
+            raise MalformedOperandError(
+                f"{kind.name}: bad sync word 0x{word:x} at offset {offset}"
+            )
     if "dims" in fields:
         dims = fields["dims"]
         for key in ("grid", "steps", "offsets", "sizes", "fulls", "strides"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from tilevm import (
@@ -16,10 +18,23 @@ from tilevm import (
     fuse_static,
     ref_execute,
 )
+from tilevm.device import (
+    ExecutionStats,
+    _dtype,
+    _view_geometry,
+    matmul_effective,
+    tile_range,
+)
 from tilevm.encoder import run_groups
 from tilevm.fuser import FusedGroup, FusionBuffer
 from tilevm.graph import BasicOp, TensorMeta, decompose
-from tilevm.isa import NP_DTYPES, SCHEMAS
+from tilevm.isa import (
+    NP_DTYPES,
+    SCHEMAS,
+    BytecodeProgram,
+    InstructionKind,
+    Queue,
+)
 
 
 # --- bytecode fuzzing ---------------------------------------------------------
@@ -115,6 +130,92 @@ def brute_force_liveness(ops, outputs) -> int:
         if op.output not in outputs and remaining_uses.get(op.output, 0) == 0:
             live.discard(op.output)
     return peak
+
+
+# The timing model before it simulated each distinct core once: two passes
+# per core (with and without decode) that recompute every per-tile cost.
+# Kept verbatim as the reference the device's model must equal exactly.
+
+
+def reference_instruction_cost(insn: VirtualInstruction, tile: int, cfg: DeviceConfig) -> float:
+    kind = insn.kind
+    if kind in (InstructionKind.Load, InstructionKind.Store):
+        if (
+            kind is InstructionKind.Store
+            and insn.tile_size >= insn.total_size
+            and tile > 0
+        ):
+            return 0.0
+        w = _dtype(insn.extras["dtype"]).nbytes
+        return insn.effective_size(tile) * w * cfg.dma_cost_per_byte
+    if kind in (InstructionKind.ViewLoad, InstructionKind.ViewStore):
+        _, effs = _view_geometry(insn, tile)
+        w = _dtype(insn.extras["dtype"]).nbytes
+        return prod(effs) * w * cfg.dma_cost_per_byte
+    if kind is InstructionKind.Matmul:
+        _, _, m_eff, n_eff = matmul_effective(insn, tile)
+        return m_eff * insn.extras["k"] * n_eff * cfg.cube_cost_per_mac
+    return insn.effective_size(tile) * cfg.vector_cost_per_elem
+
+
+def reference_simulate_core(
+    insns: list[VirtualInstruction],
+    tiles: range,
+    cfg: DeviceConfig,
+    decode_cost: float,
+    sync_cost: float,
+) -> tuple[float, dict[str, float]]:
+    scalar_t = 0.0
+    qfree = {Queue.DMA: 0.0, Queue.VECTOR: 0.0, Queue.CUBE: 0.0}
+    gate = {Queue.DMA: 0.0, Queue.VECTOR: 0.0, Queue.CUBE: 0.0}
+    release: dict[int, float] = {}
+    busy = {"scalar": 0.0, "dma": 0.0, "vector": 0.0, "cube": 0.0}
+    for tile in tiles:
+        for insn in insns:
+            scalar_t += decode_cost
+            busy["scalar"] += decode_cost
+            decode_done = scalar_t
+            if insn.kind is InstructionKind.SyncSet:
+                scalar_t += sync_cost
+                busy["scalar"] += sync_cost
+                q = Queue(insn.extras["queue"])
+                release[insn.extras["flag"]] = qfree.get(q, scalar_t)
+            elif insn.kind is InstructionKind.SyncWait:
+                scalar_t += sync_cost
+                busy["scalar"] += sync_cost
+                q = Queue(insn.extras["queue"])
+                if q in gate:
+                    gate[q] = max(gate[q], release.get(insn.extras["flag"], 0.0))
+            else:
+                q = insn.kind.queue
+                cost = reference_instruction_cost(insn, tile, cfg)
+                start = max(qfree[q], decode_done, gate[q])
+                qfree[q] = start + cost
+                busy[{Queue.DMA: "dma", Queue.VECTOR: "vector", Queue.CUBE: "cube"}[q]] += cost
+    return max(scalar_t, *qfree.values()), busy
+
+
+def reference_simulate_timing(program: BytecodeProgram, cfg: DeviceConfig) -> ExecutionStats:
+    """Discrete-event model of decode/queue overlap; pure, touches no memory."""
+    insns = program.instructions()
+    header = program.header
+    stats = ExecutionStats()
+    spans, spans0 = [], []
+    for core_id in range(header.block_dim):
+        tiles = tile_range(core_id, header.total_tiles, header.block_dim)
+        span, busy = reference_simulate_core(insns, tiles, cfg, cfg.decode_cost, cfg.sync_cost)
+        span0, _ = reference_simulate_core(insns, tiles, cfg, 0.0, 0.0)
+        spans.append(span)
+        spans0.append(span0)
+        stats.per_core_busy.append(busy)
+    stats.makespan = max(spans)
+    stats.makespan_exec_only = max(spans0)
+    n_sync = sum(1 for i in insns if i.kind.is_sync)
+    stats.decode_burst = cfg.decode_cost * len(insns) + cfg.sync_cost * n_sync
+    stats.decode_hidden = (
+        stats.makespan <= stats.makespan_exec_only + stats.decode_burst + 1e-9
+    )
+    return stats
 
 
 def direct_layernorm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import itertools
 from math import prod
 
@@ -11,6 +13,7 @@ from tilevm import (
     DeviceState,
     DType,
     ExecutionStats,
+    InfeasibleTilingError,
     InstructionKind,
     KernelType,
     OperatorGraph,
@@ -22,13 +25,14 @@ from tilevm import (
     dispatch_stacked,
     encode_program,
     exec_instruction,
+    fuse_static,
     ref_execute,
     run_core,
     simulate_timing,
 )
 from tilevm import device as device_mod, isa
 from tilevm.device import VMError, tile_range
-from tilevm.encoder import _OP_TO_KIND
+from tilevm.encoder import _OP_TO_KIND, bind_group, compile_group, tile_for_group
 from tilevm.isa import (
     CmpType,
     TileOrder,
@@ -38,7 +42,13 @@ from tilevm.isa import (
     sync_wait,
 )
 
-from helpers import oracle_env, random_vector_graph, run_static
+from helpers import (
+    oracle_env,
+    random_vector_graph,
+    reference_simulate_core,
+    reference_simulate_timing,
+    run_static,
+)
 
 
 def _core(device):
@@ -592,6 +602,103 @@ def test_decode_hidden_property_random_configs():
         )
         stats = simulate_timing(program, cfg)
         assert stats.decode_hidden, (decode, sync, dma, vec)
+
+
+def _timing_corpus():
+    """(label, program) pairs from real lowering, plus one hand-built
+    program whose non-advancing Store pays on tile 0 only."""
+    rng = np.random.default_rng(2024)
+    scratch = DeviceState(1, 16, 1 << 24)  # gives tensors addresses; runs nothing
+    for _ in range(10):
+        g, _ = random_vector_graph(rng, max_ops=6, max_rows=96)
+        for cores, mem in ((1, 24 * 1024), (7, 16 * 1024), (40, 192 * 1024)):
+            cfg = DeviceConfig(num_cores=cores, local_mem_bytes=mem)
+            for group in fuse_static(g):
+                try:
+                    tg = tile_for_group(group, cfg)
+                except InfeasibleTilingError:
+                    continue
+                bind_group(scratch, tg.graph)
+                yield f"vector-{cores}", compile_group(group, tg, cfg)
+    for i in range(6):
+        m, n = (int(x) for x in rng.integers(17, 161, 2))
+        k = int(rng.integers(8, 65))
+        g = OperatorGraph()
+        g.tensor("a", DType.F32, (m, k))
+        g.tensor("b", DType.F32, (k, n))
+        g.tensor("o", DType.F32, (m, n))
+        g.op("matmul", ["a", "b"], "o")
+        g.set_outputs(["o"])
+        if i % 2:  # a cube-vector chain
+            g.tensor("c", DType.F32, (m, n))
+            g.tensor("r", DType.F32, (m, n))
+            g.op("add", ["o", "c"], "r")
+            g.set_outputs(["r"])
+        cfg = DeviceConfig(num_cores=(1, 3, 7)[i % 3], local_mem_bytes=16 * 1024)
+        (group,) = fuse_static(g)
+        tg = tile_for_group(group, cfg)
+        bind_group(scratch, tg.graph)
+        edge = "ragged" if m % tg.tm or n % tg.tn else "even"
+        for order in TileOrder:
+            tg_o = dataclasses.replace(tg, order=order, lowering=None, alloc=None)
+            yield f"matmul-{order.name}-{edge}", compile_group(group, tg_o, cfg)
+    f32 = {"tile_stride": 16, "dtype": int(DType.F32)}
+    body = [
+        VirtualInstruction(InstructionKind.Load, 0, (0,), 16, 160, f32),
+        sync_set(0, Queue.DMA),
+        sync_wait(0, Queue.VECTOR),
+        VirtualInstruction(InstructionKind.Abs, 0, (0,), 16, 160),
+        sync_set(1, Queue.VECTOR),
+        sync_wait(1, Queue.DMA),
+        VirtualInstruction(InstructionKind.Store, 1024, (0,), 4, 4, {**f32, "tile_stride": 4}),
+    ]
+    header = ProgramHeader(KernelType.VECTOR, 0, 10, 4)
+    yield "non-advancing-store", encode_program(header, body)
+
+
+def test_timing_model_matches_reference():
+    """The per-class timing model equals the two-pass-per-core reference
+    exactly, and every core owns its busy dict."""
+    configs = [
+        DeviceConfig(),
+        DeviceConfig(decode_cost=3.0, sync_cost=0.5, dma_cost_per_byte=0.25,
+                     vector_cost_per_elem=2.0, cube_cost_per_mac=0.5),
+    ]
+    seen = collections.Counter()
+    for label, program in _timing_corpus():
+        header, insns = program.header, program.instructions()
+        ranges = [
+            tile_range(c, header.total_tiles, header.block_dim)
+            for c in range(header.block_dim)
+        ]
+        for cfg in configs:
+            got = simulate_timing(program, cfg)
+            want = reference_simulate_timing(program, cfg)
+            assert got.makespan == want.makespan, label
+            assert got.makespan_exec_only == want.makespan_exec_only, label
+            assert [list(b.items()) for b in got.per_core_busy] == [
+                list(b.items()) for b in want.per_core_busy
+            ], label
+            assert got.decode_burst == want.decode_burst, label
+            assert got.decode_hidden == want.decode_hidden, label
+            assert len({id(b) for b in got.per_core_busy}) == header.block_dim
+            assert device_mod._member_spans(program, cfg) == [
+                reference_simulate_core(insns, r, cfg, cfg.decode_cost, cfg.sync_cost)[0]
+                for r in ranges
+            ], label
+        seen[label] += 1
+        seen["same tile count, other costs"] += any(
+            len(a) == len(b) and x != y
+            for a, b, x, y in zip(ranges, ranges[1:], want.per_core_busy, want.per_core_busy[1:])
+        )
+        seen["block_dim does not divide"] += header.total_tiles % header.block_dim != 0
+    # cores with one tile count but different costs, uneven splits, each
+    # core count, ragged grid edges in every order and the Store case
+    assert seen["same tile count, other costs"], seen
+    assert seen["block_dim does not divide"], seen
+    assert all(seen[f"vector-{c}"] for c in (1, 7, 40)), seen
+    assert all(seen[f"matmul-{o.name}-ragged"] for o in TileOrder), seen
+    assert seen["non-advancing-store"] == 1
 
 
 def test_write_set_checker_catches_overlap():

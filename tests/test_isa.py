@@ -148,6 +148,10 @@ ENCODE_ERROR_CASES = {
     ),
     "view_without_strides": _view_without_strides,
     "sync_set_without_flag": lambda: _insn("SyncSet", queue=int(Queue.DMA)),
+    "sync_set_flag_300": lambda: sync_set(300, Queue.DMA),
+    "sync_wait_negative_flag": lambda: sync_wait(-1, Queue.CUBE),
+    "sync_set_queue_7": lambda: sync_set(3, 7),
+    "sync_wait_queue_256": lambda: sync_wait(0, 256),
 }
 
 
@@ -217,6 +221,16 @@ def test_decode_malformed_operands():
     rec = struct.pack("<HHI", 50, 12, 0) + b"\x01\x00\x00\x00"
     with pytest.raises(MalformedOperandError):
         decode_instruction(rec)
+
+
+@pytest.mark.parametrize(
+    "word", [(1 << 16) | 5, (1 << 31) | (1 << 8), (4 << 8) | 1, 0xFF00]
+)
+@pytest.mark.parametrize("kind_id", [50, 51])
+def test_decode_rejects_bad_sync_word(kind_id, word):
+    # bits above bit 15, or a queue byte that names no Queue
+    with pytest.raises(MalformedOperandError):
+        decode_instruction(struct.pack("<HHI", kind_id, 8, word))
 
 
 def test_decode_bad_length_field():
