@@ -2,8 +2,9 @@
 
 Subcommands: run, tile, fuse, disasm, bench.  Graph files are JSON
 documents (symbols / tensors / ops / outputs); trace files are JSON lines
-of bind / tensor / op / branch / host_read / end events.  Reports are
-deterministic for a fixed input and seed.
+of bind / tensor / op / branch / host_read / end events.  Both share one
+tensor and one op entry parser, and a malformed entry exits 2 naming it.
+Reports are deterministic for a fixed input and seed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,6 @@ from .fuser import FusedGroup, FusionBuffer, fuse_static
 from .graph import (
     BasicOp,
     COMPOUND_KINDS,
-    GraphError,
     OperatorGraph,
     REDUCTION_KINDS,
     TensorMeta,
@@ -49,6 +50,17 @@ class ParseError(ValueError):
     pass
 
 
+@contextmanager
+def _parsing(where: str):
+    """Report an entry that is malformed, or that makes the graph invalid,
+    as a ParseError naming it."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ParseError(f"{where}: {detail}") from exc
+
+
 def _gen_data(meta: TensorMeta, shape: tuple[int, ...], seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if meta.dtype == DType.I32:
@@ -58,6 +70,24 @@ def _gen_data(meta: TensorMeta, shape: tuple[int, ...], seed: int) -> np.ndarray
     return rng.uniform(-1.0, 1.0, size=shape).astype(NP_DTYPES[meta.dtype])
 
 
+def _tensor_entry(g: OperatorGraph, entry: dict) -> TensorMeta:
+    """Add the tensor an entry declares to ``g``."""
+    shape = entry["shape"]
+    if not isinstance(shape, list):
+        raise ParseError(f"shape {shape!r} is not a list")
+    dtype = DType.parse(entry.get("dtype", "f32"))
+    return g.tensor(entry["id"], dtype, shape, entry.get("strides"))
+
+
+def _input_data(g: OperatorGraph, meta: TensorMeta, entry: dict, seed: int) -> np.ndarray:
+    """The entry's ``data`` in the tensor's dtype and resolved shape, or
+    seeded random data."""
+    shape = g.symbols.resolve(meta.shape)
+    if "data" in entry:
+        return np.asarray(entry["data"], NP_DTYPES[meta.dtype]).reshape(shape)
+    return _gen_data(meta, shape, int(entry.get("seed", seed)))
+
+
 def _parse_attrs(raw: dict) -> dict:
     attrs = dict(raw)
     if "cmp" in attrs and isinstance(attrs["cmp"], str):
@@ -65,10 +95,9 @@ def _parse_attrs(raw: dict) -> dict:
     return attrs
 
 
-def _infer_output_meta(
-    g: OperatorGraph, kind: str, inputs: list[str], out: str, attrs: dict
-) -> TensorMeta:
-    ins = [g.tensors[t] for t in inputs]
+def _infer_output_meta(g: OperatorGraph, op: BasicOp) -> TensorMeta:
+    kind, attrs = op.kind, op.attrs
+    ins = [g.tensors[t] for t in op.inputs]
     if kind == "matmul":
         shape = (ins[0].shape[0], ins[1].shape[1])
     elif kind in REDUCTION_KINDS:
@@ -87,7 +116,35 @@ def _infer_output_meta(
         dtype = DType.parse(attrs["dst_dtype"]) if isinstance(
             attrs.get("dst_dtype"), str
         ) else DType(attrs["dst_dtype"])
-    return TensorMeta(out, dtype, shape)
+    return TensorMeta(op.output, dtype, shape)
+
+
+def _op_entry(
+    g: OperatorGraph, entry: dict, taken: bool | None = None
+) -> tuple[list[TensorMeta], list[BasicOp]]:
+    """The new tensors and the basic ops of a basic or compound op entry.
+
+    Adds neither to ``g``, and a tensor ``g`` already declares keeps its
+    declaration.  An undeclared output of a basic op is inferred from its
+    inputs; ``taken`` resolves an ``if_else_add`` without its own
+    ``attrs.taken``.
+    """
+    kind, ins, out = entry["kind"], entry["in"], entry["out"]
+    attrs = _parse_attrs(entry.get("attrs", {}))
+    if kind in COMPOUND_KINDS:
+        metas, ops = decompose(
+            kind,
+            [g.tensors[t] for t in ins],
+            out,
+            eps=float(attrs.get("eps", 1e-5)),
+            taken=attrs.get("taken", taken),
+        )
+        return [m for m in metas if m.id not in g.tensors], ops
+    op = BasicOp(kind, tuple(ins), out, attrs)
+    metas = [] if out in g.tensors else [_infer_output_meta(g, op)]
+    if kind == "cast":
+        attrs.pop("dst_dtype", None)
+    return metas, [op]
 
 
 @dataclass
@@ -96,71 +153,50 @@ class LoadedGraph:
     inputs: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def load_graph_file(path: str, default_seed: int = 0) -> LoadedGraph:
+def _read(path: str, parse):
+    """``parse`` applied to the open file; a bad file or bad JSON is a ParseError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return parse(fh)
+    except (OSError, ValueError) as exc:  # JSON and text decoding errors are ValueErrors
         raise ParseError(f"cannot load {path}: {exc}") from exc
+
+
+def load_graph_file(path: str, default_seed: int = 0) -> LoadedGraph:
+    doc = _read(path, json.load)
     g = OperatorGraph()
-    for entry in doc.get("symbols", []):
-        g.symbols.declare(entry["name"], entry.get("value"))
-        if "equal_to" in entry:
-            g.symbols.equate(entry["name"], entry["equal_to"])
+    with _parsing("graph"):
+        tensors, ops = list(doc.get("tensors", [])), list(doc.get("ops", []))
+        for entry in doc.get("symbols", []):
+            g.symbols.declare(entry["name"], entry.get("value"))
+            if "equal_to" in entry:
+                g.symbols.equate(entry["name"], entry["equal_to"])
     inputs: dict[str, np.ndarray] = {}
-    for i, entry in enumerate(doc.get("tensors", [])):
-        try:
-            meta = g.tensor(
-                entry["id"],
-                entry.get("dtype", "f32"),
-                tuple(entry["shape"]),
-                entry.get("strides"),
-            )
-        except (KeyError, GraphError, ValueError) as exc:
-            raise ParseError(f"tensor entry {i}: {exc}") from exc
-        if "data" in entry:
-            inputs[meta.id] = np.asarray(entry["data"])
-        # seeded data is generated later, once all symbols are bound
-    for i, entry in enumerate(doc.get("ops", [])):
-        try:
-            kind = entry["kind"]
-            ins = list(entry.get("in", []))
-            out = entry["out"]
-            attrs = _parse_attrs(entry.get("attrs", {}))
-            if kind in COMPOUND_KINDS:
-                metas, ops = decompose(
-                    kind,
-                    [g.tensors[t] for t in ins],
-                    out,
-                    eps=float(attrs.get("eps", 1e-5)),
-                    taken=attrs.get("taken"),
-                )
-                for meta in metas:
-                    g.add_tensor(meta)
-                for op in ops:
-                    g.add_op(op)
-            else:
-                if out not in g.tensors:
-                    g.add_tensor(_infer_output_meta(g, kind, ins, out, attrs))
-                if kind == "cast":
-                    attrs.pop("dst_dtype", None)
-                g.op(kind, ins, out, **attrs)
-        except (KeyError, GraphError, ValueError) as exc:
-            raise ParseError(f"op entry {i}: {exc}") from exc
-    outputs = doc.get("outputs")
-    if outputs is None:
-        produced = {op.output for op in g.ops}
-        consumed = {t for op in g.ops for t in op.inputs}
-        outputs = [t for t in produced if t not in consumed]
-    g.set_outputs(outputs)
-    # materialize input data now that symbols are bound
-    for i, entry in enumerate(doc.get("tensors", [])):
+    for i, entry in enumerate(tensors):
+        with _parsing(f"tensor entry {i}"):
+            meta = _tensor_entry(g, entry)
+            if "data" in entry:
+                inputs[meta.id] = _input_data(g, meta, entry, default_seed + i)
+    for i, entry in enumerate(ops):
+        with _parsing(f"op entry {i}"):
+            metas, basic = _op_entry(g, entry)
+            for meta in metas:
+                g.add_tensor(meta)
+            for op in basic:
+                g.add_op(op)
+    with _parsing("graph"):
+        outputs = doc.get("outputs")
+        if outputs is None:
+            produced = {op.output for op in g.ops}
+            consumed = {t for op in g.ops for t in op.inputs}
+            outputs = [t for t in produced if t not in consumed]
+        g.set_outputs(outputs)
+    # the other inputs get seeded data, once every op is known
+    for i, entry in enumerate(tensors):
         tid = entry["id"]
-        if tid in inputs or g.producer(tid) is not None:
-            continue
-        meta = g.tensors[tid]
-        shape = g.symbols.resolve(meta.shape)
-        inputs[tid] = _gen_data(meta, shape, int(entry.get("seed", default_seed + i)))
+        if tid not in inputs and g.producer(tid) is None:
+            with _parsing(f"tensor entry {i}"):
+                inputs[tid] = _input_data(g, g.tensors[tid], entry, default_seed + i)
     return LoadedGraph(g, inputs)
 
 
@@ -245,106 +281,56 @@ def _check_outputs(g, inputs, tids, results, out) -> int:
 
 
 def _run_stream(args, cfg, out) -> int:
-    events = _load_trace(args.path)
+    events = _read(args.path, lambda fh: [json.loads(line) for line in fh if line.strip()])
     device = DeviceState.from_config(cfg)
     buffer = FusionBuffer()
     g = buffer.graph
     inputs: dict[str, np.ndarray] = {}
     results: dict[str, np.ndarray] = {}
     taken: bool | None = None
-    flushed_count = 0
+    flushed = 0
     tensor_index = 0
-
-    def execute(groups: list[FusedGroup], reason: str) -> None:
-        nonlocal flushed_count
-        for group in groups:
-            res, _ = run_groups([group], device, cfg, inputs, debug=True)
-            results.update(res)
-            print(
-                f"flush[{flushed_count}] reason={group.flush_reason or reason} "
-                f"{group.describe()} stores={','.join(group.stores)}",
-                file=out,
-            )
-            flushed_count += 1
-
-    for i, ev in enumerate(events):
-        kind = ev.get("event")
-        try:
+    # a trace may stop without an end event: its last group flushes anyway
+    for i, ev in enumerate([*events, {"event": "end"}]):
+        groups: list[FusedGroup] = []
+        with _parsing(f"trace event {i}"):
+            kind = ev.get("event")
             if kind == "bind":
-                g.symbols.bind(ev["sym"], int(ev["value"]))
+                g.symbols.bind(ev["sym"], ev["value"])
             elif kind == "tensor":
-                meta = g.tensor(
-                    ev["id"], ev.get("dtype", "f32"), tuple(ev["shape"])
-                )
-                shape = g.symbols.resolve(meta.shape)
-                if "data" in ev:
-                    inputs[meta.id] = np.asarray(ev["data"])
-                else:
-                    inputs[meta.id] = _gen_data(
-                        meta, shape, int(ev.get("seed", args.seed + tensor_index))
-                    )
+                meta = _tensor_entry(g, ev)
+                inputs[meta.id] = _input_data(g, meta, ev, args.seed + tensor_index)
                 tensor_index += 1
             elif kind == "branch":
                 taken = bool(ev["taken"])
             elif kind == "op":
-                attrs = _parse_attrs(ev.get("attrs", {}))
-                if ev["kind"] in COMPOUND_KINDS:
-                    metas, ops = decompose(
-                        ev["kind"],
-                        [g.tensors[t] for t in ev["in"]],
-                        ev["out"],
-                        eps=float(attrs.get("eps", 1e-5)),
-                        taken=attrs.get("taken", taken),
-                    )
-                    new = {m.id: m for m in metas}
-                    for op in ops:
-                        execute(
-                            buffer.push(op, [new[op.output]] if op.output in new else []),
-                            "incompatible",
-                        )
-                else:
-                    out_id = ev["out"]
-                    new_metas = []
-                    if out_id not in g.tensors:
-                        new_metas = [
-                            _infer_output_meta(g, ev["kind"], ev["in"], out_id, attrs)
-                        ]
-                    op = BasicOp(ev["kind"], tuple(ev["in"]), out_id, attrs)
-                    execute(buffer.push(op, new_metas), "incompatible")
+                metas, ops = _op_entry(g, ev, taken)
+                for op in ops:
+                    groups += buffer.push(op, [m for m in metas if m.id == op.output])
             elif kind == "host_read":
                 buffer.mark_host_read(ev["tensor"])
-                execute(buffer.flush("host_read"), "host_read")
-                value = results.get(ev["tensor"])
-                if value is not None:
-                    print(
-                        f"host_read {ev['tensor']}: "
-                        f"mean={float(np.mean(value)):.6g}",
-                        file=out,
-                    )
+                groups += buffer.flush("host_read")
             elif kind == "end":
-                execute(buffer.flush("end_of_stream"), "end_of_stream")
+                groups += buffer.flush("end_of_stream")
             else:
                 raise ParseError(f"unknown event {kind!r}")
-        except (KeyError, GraphError) as exc:
-            raise ParseError(f"trace event {i}: {exc}") from exc
-    execute(buffer.flush("end_of_stream"), "end_of_stream")
+        # run outside the parse wrapper, so a compile or run error keeps its exit code
+        for group in groups:
+            res, _ = run_groups([group], device, cfg, inputs, debug=True)
+            results.update(res)
+            print(
+                f"flush[{flushed}] reason={group.flush_reason} "
+                f"{group.describe()} stores={','.join(group.stores)}",
+                file=out,
+            )
+            flushed += 1
+        if kind == "host_read" and ev["tensor"] in results:
+            value = results[ev["tensor"]]
+            print(f"host_read {ev['tensor']}: mean={float(np.mean(value)):.6g}", file=out)
     if not args.check:
         return EXIT_OK
     targets = [t for t in results if g.producer(t) is not None]
     return _check_outputs(g, inputs, targets, results, out)
-
-
-def _load_trace(path: str) -> list[dict]:
-    events = []
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot load {path}: {exc}") from exc
-    return events
 
 
 def cmd_tile(args, out=sys.stdout) -> int:
@@ -433,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, out=sys.stdout)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -82,13 +82,14 @@ class DeviceState:
         return addr
 
     def bind(
-        self, meta, data: np.ndarray | None = None, nbytes: int | None = None
+        self, meta, data: np.ndarray | None = None, nbytes: int | None = None, strides=None
     ) -> int:
         """Assign a global address to a tensor and optionally write its data.
 
         Addresses are owned by this device; rebinding the same tensor id is
         idempotent here, and meta.addr always reflects this device's address.
         ``nbytes`` overrides meta.nbytes for symbolically-shaped tensors.
+        ``data`` is written as ``write_global`` does.
         """
         addr = self.bindings.get(meta.id)
         if addr is None:
@@ -99,13 +100,20 @@ class DeviceState:
             self.bindings[meta.id] = addr
         meta.addr = addr
         if data is not None:
-            self.write_global(addr, np.asarray(data), meta.dtype)
+            self.write_global(addr, np.asarray(data), meta.dtype, strides)
         return addr
 
     def is_bound(self, meta) -> bool:
         return meta.id in self.bindings
 
-    def write_global(self, addr: int, data: np.ndarray, dtype: DType) -> None:
+    def write_global(self, addr: int, data: np.ndarray, dtype: DType, strides=None) -> None:
+        """Write ``data`` from ``addr`` on: in storage order, or through one
+        view with element ``strides``."""
+        if strides is not None:
+            byte_strides = tuple(s * dtype.nbytes for s in strides)
+            view = np.ndarray(data.shape, NP_DTYPES[dtype], self.global_mem, addr, byte_strides)
+            view[...] = data
+            return
         flat = np.ascontiguousarray(data).ravel()
         view = self._global_view(addr, flat.size, dtype)
         view[:] = flat.astype(NP_DTYPES[dtype])

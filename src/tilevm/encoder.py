@@ -8,7 +8,7 @@ cross-queue data dependency (plus DMA-load to DMA-store forwarding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, prod
 
 import numpy as np
@@ -803,29 +803,34 @@ def compile_group(group, tg: TiledGraph, cfg: DeviceConfig) -> BytecodeProgram:
 def tile_for_group(group, cfg: DeviceConfig) -> TiledGraph:
     """Tile and lower one group; the allocator judges whether a tile fits.
 
-    Matmul groups are sized by the cube tiler's own budget.  A vector group
-    is tiled by the cost model alone and lowered; if its allocation
-    overflows local memory, the rows per tile are capped at what that
-    allocation measured and the group is tiled and lowered again, until it
-    fits or cannot shrink.  The accepted lowering and allocation ride on
-    the result, and ``t_max`` is the largest tile their measured bytes per
-    row allow.
+    The tiler picks a tile from its own estimate, and the group is lowered.
+    If that allocation overflows local memory, the tiler's limit shrinks by
+    the share that fits: the rows per tile of a vector group, or the local
+    memory a cube group's tiler assumes.  The group is tiled and lowered
+    again, until it fits or the tile cannot shrink.  The accepted lowering
+    and allocation ride on the result; a vector group's ``t_max`` is the
+    largest tile their measured bytes per row allow.
     """
     sub = group.subgraph()
     budget = cfg.local_mem_bytes
-    if not sub.is_vector_only:
-        tg = tile_cube_vector(sub, cfg) if len(sub.ops) > 1 else tile_matmul(sub, cfg)
-        tg.lowering, tg.alloc = _lower_and_fit(tg, budget)
-        return tg
-    tg = tile_vector_graph(sub, cfg)
+    vector = sub.is_vector_only
+    tile_cube = tile_cube_vector if len(sub.ops) > 1 else tile_matmul
+
+    def tile(limit: int | None) -> TiledGraph:
+        if vector:
+            return tile_vector_graph(sub, cfg, limit)
+        return tile_cube(sub, replace(cfg, local_mem_bytes=limit))
+
+    limit = None if vector else budget
+    tg = tile(limit)
     while True:
         lowering = _lower(tg)
         alloc = _allocate(lowering)
         if alloc.high_water <= budget:
             break
-        rows = tg.rows_per_tile
-        smaller = tile_vector_graph(sub, cfg, rows * budget // alloc.high_water)
-        if smaller.rows_per_tile >= rows:
+        limit = (tg.rows_per_tile if vector else limit) * budget // alloc.high_water
+        smaller = tile(limit)
+        if _tile_shape(smaller) == _tile_shape(tg):
             raise InfeasibleTilingError(
                 f"group {group.describe()}: its smallest legal tile of "
                 f"{tg.tile_elems} elems needs {alloc.high_water} bytes of local "
@@ -833,8 +838,13 @@ def tile_for_group(group, cfg: DeviceConfig) -> TiledGraph:
             )
         tg = smaller
     tg.lowering, tg.alloc = lowering, alloc
-    tg.t_max = tg.row_size * (budget * tg.rows_per_tile // alloc.high_water)
+    if vector:
+        tg.t_max = tg.row_size * (budget * tg.rows_per_tile // alloc.high_water)
     return tg
+
+
+def _tile_shape(tg: TiledGraph) -> tuple[int, ...]:
+    return (tg.rows_per_tile, tg.tm, tg.tn, tg.k_chunk)
 
 
 def run_groups(
@@ -867,14 +877,20 @@ def bind_group(
 ) -> None:
     """Bind a group's inputs, then its stores, at their resolved sizes.
 
-    An input bound here for the first time gets its data from ``inputs``.
+    A strided tensor spans every element its strides reach.  An input
+    bound here for the first time gets its data from ``inputs``, in its
+    resolved shape, written through its strides.
     """
     inputs = inputs or {}
     for tid in sub.graph_input_ids() + sub.outputs:
         meta = sub.tensors[tid]
         data = None if device.is_bound(meta) else inputs.get(tid)
-        nbytes = prod(sub.resolved_shape(tid)) * meta.dtype.nbytes
-        device.bind(meta, data, nbytes=nbytes)
+        shape = sub.resolved_shape(tid)
+        if meta.strides is None:
+            elems = prod(shape)
+        else:
+            elems = sum((d - 1) * s for d, s in zip(shape, meta.strides)) + 1
+        device.bind(meta, data, nbytes=elems * meta.dtype.nbytes, strides=meta.strides)
 
 
 def _collect(device: DeviceState, tg: TiledGraph, results: dict) -> None:

@@ -15,6 +15,7 @@ from .graph import (
     BasicOp,
     GraphError,
     OperatorGraph,
+    REDUCTION_KINDS,
     Shape,
     TensorMeta,
     unify_shapes,
@@ -81,6 +82,11 @@ def _cv_rule(mm: BasicOp, op: BasicOp, g: OperatorGraph) -> bool:
     return unify_shapes(out_mm, out_op, g.symbols) is not None
 
 
+def _space(op: BasicOp, g: OperatorGraph) -> Shape:
+    """A vector op's iteration space: its output's, or a reduction's input's."""
+    return g.tensors[op.inputs[0] if op.kind in REDUCTION_KINDS else op.output].shape
+
+
 class _GroupBuilder:
     def __init__(self, g: OperatorGraph):
         self.g = g
@@ -108,10 +114,9 @@ class _GroupBuilder:
             ) and _cv_rule(self.ops[0], op, self.g)
         if not any(_share_tensor(op, member) for member in self.ops):
             return False
-        out_shape = self.g.tensors[op.output].shape
         return (
             self.space is not None
-            and unify_shapes(self.space, out_shape, self.g.symbols) is not None
+            and unify_shapes(self.space, _space(op, self.g), self.g.symbols) is not None
         )
 
     def add(self, op: BasicOp) -> None:
@@ -120,7 +125,7 @@ class _GroupBuilder:
             self.has_matmul = True
             self.space = self.g.tensors[op.output].shape
         else:
-            out = self.g.tensors[op.output].shape
+            out = _space(op, self.g)
             self.space = (
                 out
                 if self.space is None or self.has_matmul
@@ -330,7 +335,6 @@ class FusionBuffer:
         self.capacity = capacity
         self._open: _GroupBuilder | None = None
         self._host_reads: set[str] = set()
-        self._stored: set[str] = set()
         self._flushed_unstored: set[str] = set()
 
     def push(
@@ -375,9 +379,7 @@ class FusionBuffer:
         group = FusedGroup(self._open.kind, ops, self.graph, flush_reason=reason)
         group.stores = _escaping(ops, self.graph, self._host_reads)
         for op in ops:
-            if op.output in group.stores:
-                self._stored.add(op.output)
-            else:
+            if op.output not in group.stores:
                 self._flushed_unstored.add(op.output)
         self._host_reads.clear()
         self._open = None

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from numbers import Integral, Real
 from typing import Iterable, Sequence, Union
 
-from .isa import DType
+from .isa import CmpType, DType
 
 Dim = Union[int, str]
 Shape = tuple[Dim, ...]
@@ -28,6 +29,13 @@ ELEMENTWISE_KINDS = (
 VECTOR_KINDS = ELEMENTWISE_KINDS | REDUCTION_KINDS | {"broadcast"}
 ALL_KINDS = VECTOR_KINDS | {"matmul"}
 
+_SCALAR = ("scalar", "a number", lambda v: isinstance(v, Real))
+_REQUIRED_ATTRS = {  # kind -> (attribute, what it must be, its check)
+    "cmp": ("cmp", "a CmpType", lambda v: isinstance(v, Integral) and 0 <= v < len(CmpType)),
+    "adds": _SCALAR,
+    "muls": _SCALAR,
+    "broadcast": ("size", "an int >= 1", lambda v: isinstance(v, Integral) and v >= 1),
+}
 _ARITY = {"cmp": 2, "select": 3, "matmul": 2, "broadcast": 1}
 _ARITY.update({k: 1 for k in ELEMENTWISE_UNARY | SCALAR_KINDS | {"cast"}})
 _ARITY.update({k: 2 for k in ELEMENTWISE_BINARY})
@@ -46,14 +54,11 @@ class SymbolTable:
         self._values: dict[str, int] = {}
 
     def declare(self, name: str, value: int | None = None) -> None:
-        if not name:
-            raise GraphError("symbol names must be nonempty")
+        if not isinstance(name, str) or not name:
+            raise GraphError(f"symbol name {name!r} must be a nonempty string")
         self._parent.setdefault(name, name)
         if value is not None:
             self.bind(name, value)
-
-    def names(self) -> set[str]:
-        return set(self._parent)
 
     def _find(self, name: str) -> str:
         while self._parent[name] != name:
@@ -81,8 +86,8 @@ class SymbolTable:
         return self._find(a) == self._find(b)
 
     def bind(self, name: str, value: int) -> None:
-        if value < 1:
-            raise GraphError(f"symbol {name}={value}: bindings must be >= 1")
+        if not isinstance(value, Integral) or value < 1:
+            raise GraphError(f"symbol {name}={value!r}: bindings must be integers >= 1")
         self.declare(name)
         root = self._find(name)
         old = self._values.get(root)
@@ -118,13 +123,19 @@ class TensorMeta:
     addr: int | None = None  # global byte offset, assigned at bind time
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise GraphError(f"tensor id {self.id!r} must be a nonempty string")
         for dim in self.shape:
-            if isinstance(dim, int) and dim < 1:
-                raise GraphError(f"tensor {self.id}: dimension {dim} < 1")
-            if isinstance(dim, str) and not dim:
-                raise GraphError(f"tensor {self.id}: empty symbol name")
-        if self.strides is not None and len(self.strides) != len(self.shape):
-            raise GraphError(f"tensor {self.id}: strides rank mismatch")
+            if not (isinstance(dim, str) and dim or isinstance(dim, Integral) and dim >= 1):
+                raise GraphError(
+                    f"tensor {self.id}: dimension {dim!r} is neither an int >= 1 "
+                    f"nor a symbol name"
+                )
+        if self.strides is not None:
+            if len(self.strides) != len(self.shape):
+                raise GraphError(f"tensor {self.id}: strides rank mismatch")
+            if not all(isinstance(s, Integral) and s >= 0 for s in self.strides):
+                raise GraphError(f"tensor {self.id}: strides must be integers >= 0")
 
     @property
     def rank(self) -> int:
@@ -177,6 +188,11 @@ class BasicOp:
             raise GraphError(
                 f"{self.kind} expects {arity} inputs, got {len(self.inputs)}"
             )
+        if self.kind in _REQUIRED_ATTRS:
+            name, rule, valid = _REQUIRED_ATTRS[self.kind]
+            value = self.attrs.get(name)
+            if not valid(value):
+                raise GraphError(f"{self.kind}: attrs.{name} must be {rule}, got {value!r}")
 
     @property
     def is_matmul(self) -> bool:
@@ -263,6 +279,8 @@ class OperatorGraph:
             raise GraphError(f"{op.kind}: undefined output {op.output!r}")
         if op.output in self._producers:
             raise GraphError(f"tensor {op.output!r} written twice")
+        if op.output in op.inputs or op.output in self._consumers:
+            raise GraphError(f"{op.kind}: output {op.output!r} is read before it is written")
         self._check_shapes(op)
         self._append(op)
         return op
@@ -302,16 +320,32 @@ class OperatorGraph:
             a, b = ins
             if a.rank != 2 or b.rank != 2:
                 raise GraphError("matmul inputs must be rank 2")
-            if unify_dims(a.shape[1], b.shape[0], self.symbols) is None:
+            if not self._same_dims(a.shape[1:], b.shape[:1]):
                 raise GraphError(
-                    f"matmul inner dims {a.shape[1]} and {b.shape[0]} do not unify"
+                    f"matmul inner dims {a.shape[1]} and {b.shape[0]} differ"
                 )
-            return
-        if op.kind in REDUCTION_KINDS or op.kind == "broadcast":
+            expect = (a.shape[0], b.shape[1])
+        elif op.kind in REDUCTION_KINDS or op.kind == "broadcast":
             axis = op.attrs.get("axis", -1)
             if axis not in (-1, max(t.rank for t in ins) - 1):
                 raise GraphError(f"{op.kind}: only last-axis supported, got {axis}")
-            return
+            if op.kind == "broadcast" and not self._same_dims(ins[0].shape[-1:], (1,)):
+                raise GraphError(f"broadcast: input shape {ins[0].shape} does not end in 1")
+            expect = ins[0].shape[:-1] + (op.attrs["size"] if op.kind == "broadcast" else 1,)
+        else:
+            return self._check_elementwise_shapes(op, ins, out)
+        if not self._same_dims(out.shape, expect):
+            raise GraphError(f"{op.kind}: output shape {out.shape} is not {expect}")
+
+    def _same_dims(self, a: Shape, b: Shape) -> bool:
+        """Equal rank and equal dims, a symbol matching its value or its equals."""
+        value = self.symbols.value_of
+        return len(a) == len(b) and all(
+            unify_dims(x, y, self.symbols) is not None and value(x) == value(y)
+            for x, y in zip(a, b)
+        )
+
+    def _check_elementwise_shapes(self, op: BasicOp, ins, out) -> None:
         shape: Shape | None = ins[0].shape
         for t in ins[1:]:
             shape = unify_shapes(shape, t.shape, self.symbols) if shape else None
@@ -352,6 +386,8 @@ class OperatorGraph:
         for tid in outputs:
             if tid not in self.tensors:
                 raise GraphError(f"unknown output tensor {tid!r}")
+            if tid not in self._producers:
+                raise GraphError(f"output tensor {tid!r} is not produced by any op")
         self.outputs = outputs
 
     @property

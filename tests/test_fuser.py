@@ -390,3 +390,30 @@ def test_static_fusion_is_conservative():
             for i, a in enumerate(group.ops):
                 for b in group.ops[i + 1 :]:
                     assert can_merge_iteration(a, b, g)
+
+
+@pytest.mark.parametrize("mode", ["static", "stream"])
+def test_reduction_fuses_over_its_input_space(mode):
+    # sum walks w[8,16]; the broadcast walks e[8,8]; their outputs unify,
+    # their iteration spaces do not, so one tile cannot cover both
+    g = OperatorGraph()
+    g.tensor("w", "f32", (8, 16))
+    metas = [TensorMeta("s", DType.F32, (8, 1)), TensorMeta("e", DType.F32, (8, 8))]
+    ops = [BasicOp("sum", ("w",), "s"), BasicOp("broadcast", ("s",), "e", {"size": 8})]
+    if mode == "static":
+        for meta, op in zip(metas, ops):
+            g.add_tensor(meta)
+            g.add_op(op)
+        g.set_outputs(["e"])
+        groups = fuse_static(g)
+    else:
+        buf = FusionBuffer(g)
+        groups = [grp for meta, op in zip(metas, ops) for grp in buf.push(op, [meta])]
+        buf.mark_host_read("e")
+        groups += buf.flush("host_read")
+        g.set_outputs(["e"])
+    assert [grp.op_kinds for grp in groups] == [["sum"], ["broadcast"]]
+    w = np.random.default_rng(3).uniform(-1, 1, (8, 16)).astype(np.float32)
+    cfg = DeviceConfig(num_cores=4)
+    out, _ = run_groups(groups, DeviceState.from_config(cfg), cfg, {"w": w}, debug=True)
+    assert compare(out["e"], oracle_env(g, {"w": w})["e"].data, 1e-5, 1e-5).passed

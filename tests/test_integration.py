@@ -1,6 +1,7 @@
 """End-to-end pipelines that cross module boundaries."""
 
 import numpy as np
+import pytest
 
 from tilevm import (
     DeviceConfig,
@@ -15,6 +16,7 @@ from tilevm import (
 )
 from tilevm.encoder import bind_group, run_groups
 from tilevm.isa import TileOrder
+from tilevm.tiler import tile_cube_vector
 
 from helpers import oracle_env, random_vector_graph, run_static
 
@@ -348,3 +350,28 @@ def test_vector_outputs_invariant_to_plan_cores_and_local_memory():
         ]
         capped += rows[0] != rows[1]
     assert capped >= 10, capped
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_cube_group_with_a_widening_cast_is_retiled_to_fit(k):
+    # the cube tiler counts the cast's f32 buffer at the f16 matmul width,
+    # so its first tile overflows local memory; the fit loop shrinks it
+    rng = np.random.default_rng(k)
+    g = OperatorGraph()
+    g.tensor("a", "f16", (256, k))
+    g.tensor("b", "f16", (k, 256))
+    g.tensor("c", "f16", (256, 256))
+    g.tensor("d", "f32", (256, 256))
+    g.op("matmul", ["a", "b"], "c")
+    g.op("cast", ["c"], "d")
+    g.set_outputs(["d"])
+    cfg = DeviceConfig()
+    inputs = {t: rng.uniform(-1, 1, g.resolved_shape(t)).astype(np.float16) for t in "ab"}
+    [group] = fuse_static(g)
+    first = tile_cube_vector(group.subgraph(), cfg)  # overflows once lowered
+    tg = tile_for_group(group, cfg)
+    assert tg.alloc.high_water <= cfg.local_mem_bytes
+    assert tg.tm * tg.tn < first.tm * first.tn
+    out, _ = run_groups([group], DeviceState.from_config(cfg), cfg, inputs, debug=True)
+    want = oracle_env(g, inputs)["d"].data
+    assert np.abs(out["d"] - want).max() <= 1e-2
