@@ -30,8 +30,7 @@ from .tiler import (
     InfeasibleTilingError,
     TiledGraph,
     hardware_align_div,
-    tile_cube_vector,
-    tile_matmul,
+    tile_cube,
     tile_vector_graph,
     tiling_cost,
 )
@@ -47,7 +46,6 @@ from .device import (
     DeviceState,
     ExecutionStats,
     dispatch,
-    dispatch_stacked,
     exec_instruction,
     run_core,
     simulate_timing,
@@ -55,10 +53,8 @@ from .device import (
 from .fuser import (
     FusedGroup,
     FusionBuffer,
-    StackingPlan,
     can_merge_iteration,
     fuse_static,
-    plan_stacking,
 )
 from .oracle import RefTensor, compare, ref_execute
 

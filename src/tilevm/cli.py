@@ -191,7 +191,8 @@ def load_graph_file(path: str, default_seed: int = 0) -> LoadedGraph:
             consumed = {t for op in g.ops for t in op.inputs}
             outputs = [t for t in produced if t not in consumed]
         g.set_outputs(outputs)
-    # the other inputs get seeded data, once every op is known
+    # inputs are the tensors no op produces; those without data get seeded data
+    inputs = {t: a for t, a in inputs.items() if g.producer(t) is None}
     for i, entry in enumerate(tensors):
         tid = entry["id"]
         if tid not in inputs and g.producer(tid) is None:
@@ -307,6 +308,7 @@ def _run_stream(args, cfg, out) -> int:
                 metas, ops = _op_entry(g, ev, taken)
                 for op in ops:
                     groups += buffer.push(op, [m for m in metas if m.id == op.output])
+                    inputs.pop(op.output, None)  # a produced tensor is no input
             elif kind == "host_read":
                 buffer.mark_host_read(ev["tensor"])
                 groups += buffer.flush("host_read")

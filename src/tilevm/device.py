@@ -30,6 +30,7 @@ from .isa import (
     VirtualInstruction,
     decode_instruction,  # noqa: F401  (perfbench/tracing.py counts calls here)
     decompose_tile_index,
+    to_storage,
 )
 from .tiler import DeviceConfig
 
@@ -189,13 +190,7 @@ def _read_f64(core: Core, offset: int, count: int, dtype: DType) -> np.ndarray:
 def _write_quantized(
     core: Core, offset: int, values: np.ndarray, dtype: DType
 ) -> None:
-    view = _local_view(core, offset, values.size, dtype)
-    if dtype in (DType.I32, DType.U8):
-        vals = np.trunc(values)
-        vals = np.where(np.isfinite(vals) & (np.abs(vals) < 2.0**62), vals, 0.0)
-        view[:] = vals.astype(np.int64).astype(NP_DTYPES[dtype])
-    else:
-        view[:] = values.astype(NP_DTYPES[dtype])
+    _local_view(core, offset, values.size, dtype)[:] = to_storage(values, dtype)
     core.dtypes[offset] = dtype
 
 
@@ -457,13 +452,12 @@ def run_core(
     program: BytecodeProgram,
     device: DeviceState,
     stats: ExecutionStats | None = None,
-    core: Core | None = None,
 ) -> None:
     """Interpret the program body once per assigned tile on one core."""
     header = program.header
     if core_id >= header.block_dim:
         raise VMError(f"core id {core_id} >= block_dim {header.block_dim}")
-    core = core if core is not None else device.cores[core_id]
+    core = device.cores[core_id]
     stats = stats if stats is not None else ExecutionStats()
     insns = program.instructions()
     tiles = tile_range(core_id, header.total_tiles, header.block_dim)
@@ -483,22 +477,20 @@ def dispatch(
     device: DeviceState,
     cfg: DeviceConfig | None = None,
     debug: bool = False,
-    core_offset: int = 0,
 ) -> ExecutionStats:
-    """Run the program on cores [core_offset, core_offset + block_dim)."""
+    """Run the program on cores [0, block_dim)."""
     header = program.header
-    if core_offset + header.block_dim > device.num_cores:
+    if header.block_dim > device.num_cores:
         raise VMError(
             f"block_dim {header.block_dim} exceeds available cores "
-            f"({device.num_cores - core_offset})"
+            f"({device.num_cores})"
         )
     stats = ExecutionStats()
     for core_id in range(header.block_dim):
-        core = device.cores[core_offset + core_id]
-        core.write_ranges.clear()
-        run_core(core_id, program, device, stats, core=core)
+        device.cores[core_id].write_ranges.clear()
+        run_core(core_id, program, device, stats)
     if debug:
-        _check_disjoint_writes(device, core_offset, header.block_dim)
+        _check_disjoint_writes(device, header.block_dim)
     if cfg is not None:
         timing = simulate_timing(program, cfg)
         stats.per_core_busy = timing.per_core_busy
@@ -509,9 +501,9 @@ def dispatch(
     return stats
 
 
-def _check_disjoint_writes(device: DeviceState, offset: int, count: int) -> None:
+def _check_disjoint_writes(device: DeviceState, count: int) -> None:
     ranges: list[tuple[int, int, int]] = []
-    for core in device.cores[offset : offset + count]:
+    for core in device.cores[:count]:
         for lo, hi in core.write_ranges:
             ranges.append((lo, hi, core.index))
     ranges.sort()
@@ -610,41 +602,3 @@ def simulate_timing(program: BytecodeProgram, cfg: DeviceConfig) -> ExecutionSta
         decode_burst=burst,
         decode_hidden=max(spans) <= max(spans0) + burst + 1e-9,
     )
-
-
-def dispatch_stacked(
-    stages: list[list[tuple[BytecodeProgram, int, int]]],
-    device: DeviceState,
-    cfg: DeviceConfig | None = None,
-    debug: bool = False,
-) -> ExecutionStats:
-    """Run a stacked plan: programs within a stage occupy disjoint core
-    ranges (spatial), consecutive stages share cores sequentially (temporal)."""
-    total = ExecutionStats()
-    avail = [0.0] * device.num_cores
-    for stage in stages:
-        seen: set[int] = set()
-        for program, lo, hi in stage:
-            if program.header.block_dim != hi - lo:
-                raise VMError("stacked member block_dim != assigned core range")
-            if seen & set(range(lo, hi)):
-                raise VMError("spatially stacked programs share cores")
-            seen.update(range(lo, hi))
-            stats = dispatch(program, device, cfg=None, debug=debug, core_offset=lo)
-            total.global_bytes_moved += stats.global_bytes_moved
-            total.tiles_executed += stats.tiles_executed
-            for name, n in stats.instruction_counts.items():
-                total.instruction_counts[name] = (
-                    total.instruction_counts.get(name, 0) + n
-                )
-            if cfg is not None:
-                # rigid per-core schedule: a member starts when its core frees
-                for i, span in enumerate(_member_spans(program, cfg)):
-                    avail[lo + i] += span
-    if cfg is not None:
-        total.makespan = max(avail, default=0.0)
-    return total
-
-
-def _member_spans(program: BytecodeProgram, cfg: DeviceConfig) -> list[float]:
-    return [span for span, _, _ in _core_schedules(program, cfg)]

@@ -32,8 +32,7 @@ from .tiler import (
     DeviceConfig,
     InfeasibleTilingError,
     TiledGraph,
-    tile_cube_vector,
-    tile_matmul,
+    tile_cube,
     tile_vector_graph,
 )
 
@@ -814,7 +813,6 @@ def tile_for_group(group, cfg: DeviceConfig) -> TiledGraph:
     sub = group.subgraph()
     budget = cfg.local_mem_bytes
     vector = sub.is_vector_only
-    tile_cube = tile_cube_vector if len(sub.ops) > 1 else tile_matmul
 
     def tile(limit: int | None) -> TiledGraph:
         if vector:

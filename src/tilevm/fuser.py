@@ -1,4 +1,4 @@
-"""Operator fusion: pattern-based grouping, stacking plans, streaming buffer.
+"""Operator fusion: pattern-based grouping and a streaming buffer.
 
 Static graphs are grouped by symbol deduction (two ops merge only when
 their iteration spaces provably unify); dynamic traces are fused online
@@ -20,7 +20,6 @@ from .graph import (
     TensorMeta,
     unify_shapes,
 )
-from .tiler import DeviceConfig
 
 VV_PATTERN = "vv-pattern"
 CV_PATTERN = "cv-pattern"
@@ -237,87 +236,6 @@ def group_dependencies(groups: list[FusedGroup]) -> list[set[int]]:
         }
         deps.append(need)
     return deps
-
-
-@dataclass
-class StackedMember:
-    group: FusedGroup
-    tiles: int
-    core_lo: int = 0
-    core_hi: int = 0
-
-    @property
-    def cores(self) -> int:
-        return self.core_hi - self.core_lo
-
-
-@dataclass
-class StackingPlan:
-    """Waves of spatially stacked members; consecutive waves run temporally."""
-
-    waves: list[list[StackedMember]]
-
-    @property
-    def is_spatial(self) -> bool:
-        return any(len(w) > 1 for w in self.waves)
-
-    @property
-    def is_temporal(self) -> bool:
-        return len(self.waves) > 1
-
-
-def _split_cores(tiles: list[int], n_cores: int) -> list[int]:
-    """Proportional-to-tiles core split with a 1-core floor per member."""
-    total = sum(tiles)
-    shares = [max(1, (n_cores * t) // total) for t in tiles]
-    while sum(shares) > n_cores:  # floors can overshoot on tiny N
-        shares[shares.index(max(shares))] -= 1
-    leftovers = n_cores - sum(shares)
-    if leftovers:
-        rema = sorted(
-            range(len(tiles)),
-            key=lambda i: (n_cores * tiles[i]) % total,
-            reverse=True,
-        )
-        for i in range(leftovers):
-            shares[rema[i % len(rema)]] += 1
-    return [min(s, t) for s, t in zip(shares, tiles)]
-
-
-def plan_stacking(
-    tiled_groups: list[tuple[FusedGroup, int]], cfg: DeviceConfig
-) -> StackingPlan:
-    """Stack already-tiled meta-kernels spatially and temporally.
-
-    Data-independent kernels issued consecutively share one wave with a
-    proportional core split; a dependence (or core exhaustion) starts the
-    next wave.  Issue order is preserved throughout.
-    """
-    groups = [g for g, _ in tiled_groups]
-    deps = group_dependencies(groups)
-    waves: list[list[int]] = []
-    current: list[int] = []
-    for i in range(len(groups)):
-        independent = all(j not in deps[i] for j in current)
-        if current and (not independent or len(current) >= cfg.num_cores):
-            waves.append(current)
-            current = []
-        current.append(i)
-    if current:
-        waves.append(current)
-    plan: list[list[StackedMember]] = []
-    for wave in waves:
-        tiles = [tiled_groups[i][1] for i in wave]
-        shares = _split_cores(tiles, cfg.num_cores)
-        members = []
-        lo = 0
-        for idx, share in zip(wave, shares):
-            members.append(
-                StackedMember(groups[idx], tiled_groups[idx][1], lo, lo + share)
-            )
-            lo += share
-        plan.append(members)
-    return StackingPlan(plan)
 
 
 class FusionBuffer:

@@ -8,7 +8,7 @@ Shapes are tuples whose entries are either positive ints or symbol names
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import inf, prod
 from numbers import Integral, Real
 from typing import Iterable, Sequence, Union
 
@@ -255,8 +255,25 @@ class OperatorGraph:
         for dim in meta.shape:
             if isinstance(dim, str):
                 self.symbols.declare(dim)
+        if meta.strides is not None:
+            self._check_layout(meta)
         self.tensors[meta.id] = meta
         return meta
+
+    def _check_layout(self, meta: TensorMeta) -> None:
+        """No two elements may share storage: taken by stride, each dim
+        longer than 1 must step past every element the smaller ones reach."""
+        span = 0
+        for stride, dim in sorted(zip(meta.strides, meta.shape), key=lambda p: p[0]):
+            size = self.symbols.value_of(dim)
+            if size == 1:
+                continue
+            if stride <= span:
+                raise GraphError(
+                    f"tensor {meta.id}: strides {list(meta.strides)} may alias "
+                    f"elements of shape {list(meta.shape)}"
+                )
+            span = inf if size is None else span + (size - 1) * stride
 
     def tensor(
         self,
@@ -399,12 +416,7 @@ class OperatorGraph:
         return all(self.tensors[t].is_concrete for t in self.touched_tensor_ids())
 
     def touched_tensor_ids(self) -> list[str]:
-        seen: list[str] = []
-        for op in self.ops:
-            for tid in (*op.inputs, op.output):
-                if tid not in seen:
-                    seen.append(tid)
-        return seen
+        return list(dict.fromkeys(t for op in self.ops for t in (*op.inputs, op.output)))
 
     def resolved_shape(self, tid: str) -> tuple[int, ...]:
         return self.symbols.resolve(self.tensors[tid].shape)

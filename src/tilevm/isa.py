@@ -57,6 +57,19 @@ NP_DTYPES = {
 }
 
 
+def to_storage(values: np.ndarray, dtype: DType) -> np.ndarray:
+    """Round float64 values into ``dtype``'s storage type.
+
+    Integers truncate toward zero; non-finite values and |v| >= 2**62 become
+    0.  Callers silence numpy's floating-point warnings.
+    """
+    if dtype in (DType.I32, DType.U8):
+        vals = np.trunc(values)
+        vals = np.where(np.isfinite(vals) & (np.abs(vals) < 2.0**62), vals, 0.0)
+        return vals.astype(np.int64).astype(NP_DTYPES[dtype])
+    return values.astype(NP_DTYPES[dtype])
+
+
 class CmpType(IntEnum):
     EQ = 0
     NE = 1
@@ -462,7 +475,6 @@ class KernelType(IntEnum):
     VECTOR = 0
     CUBE = 1
     CUBE_VECTOR = 2
-    STACKED = 3
 
     @property
     def label(self) -> str:
@@ -473,7 +485,6 @@ _KERNEL_LABELS = {
     KernelType.VECTOR: "vmain.aiv",
     KernelType.CUBE: "cmain.aic",
     KernelType.CUBE_VECTOR: "mmain.mix",
-    KernelType.STACKED: "smain.stk",
 }
 
 

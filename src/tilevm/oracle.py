@@ -13,7 +13,7 @@ from math import prod
 import numpy as np
 
 from .graph import OperatorGraph
-from .isa import NP_DTYPES, CmpType, DType
+from .isa import NP_DTYPES, CmpType, DType, to_storage  # noqa: F401  (re-exports NP_DTYPES)
 
 
 @dataclass
@@ -36,12 +36,8 @@ class RefTensor:
 
 def quantize(values: np.ndarray, dtype: DType) -> np.ndarray:
     """Round float64 values into the given storage dtype, back to float64."""
-    with np.errstate(all="ignore", invalid="ignore"):
-        if dtype in (DType.I32, DType.U8):
-            out = np.trunc(values)  # C-style round toward zero
-            out = np.where(np.isfinite(out) & (np.abs(out) < 2.0**62), out, 0.0)
-            return out.astype(np.int64).astype(NP_DTYPES[dtype]).astype(np.float64)
-        return values.astype(NP_DTYPES[dtype]).astype(np.float64)
+    with np.errstate(all="ignore"):
+        return to_storage(values, dtype).astype(np.float64)
 
 
 def _eval_op(kind: str, ins: list[np.ndarray], attrs: dict) -> np.ndarray:

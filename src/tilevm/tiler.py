@@ -292,19 +292,30 @@ def _tile_matmul_shapes(
     return best
 
 
-def tile_matmul(
-    g: OperatorGraph, cfg: DeviceConfig, extra_bufs: int = 0, kind: str = "matmul"
-) -> TiledGraph:
-    """2-D output tiling for a single matmul, cube-aligned to 16."""
-    mm = next(op for op in g.ops if op.is_matmul)
+def tile_cube(g: OperatorGraph, cfg: DeviceConfig) -> TiledGraph:
+    """2-D output tiling, cube-aligned to 16, for one matmul and the
+    element-wise chain fused after it.
+
+    Every chain op inherits the (tm*tn) output tile, so each one reads its
+    whole input from a single matmul tile; the chain's extra live buffers
+    shrink the feasible tile set.
+    """
+    mm_ops = [op for op in g.ops if op.is_matmul]
+    if len(mm_ops) != 1:
+        raise GraphError("cube group needs exactly one matmul")
+    mm = mm_ops[0]
+    chain = [op for op in g.ops if op is not mm]
+    if any(not op.is_elementwise for op in chain):
+        raise GraphError("cube-vector chain must be element-wise")
     a, b = (g.tensors[t] for t in mm.inputs)
     out = g.tensors[mm.output]
     m, k = g.resolved_shape(a.id)
     _, n = g.resolved_shape(b.id)
-    tm, tn, kc = _tile_matmul_shapes(m, k, n, a.dtype, out.dtype, cfg, extra_bufs)
+    extra = _chain_peak_buffers(g, mm, chain)
+    tm, tn, kc = _tile_matmul_shapes(m, k, n, a.dtype, out.dtype, cfg, extra)
     grid = (ceil(m / tm), ceil(n / tn))
     return TiledGraph(
-        kind=kind,
+        kind="cube_vector" if chain else "matmul",
         graph=g,
         tile_elems=tm * tn,
         total_elems=m * n,
@@ -317,24 +328,6 @@ def tile_matmul(
         grid=grid,
         mkn=(m, k, n),
     )
-
-
-def tile_cube_vector(g: OperatorGraph, cfg: DeviceConfig) -> TiledGraph:
-    """Joint tiling for one matmul followed by element-wise vector ops.
-
-    Every vector op inherits the (tm*tn) output tile, so each one reads its
-    whole input from a single matmul tile; the extra live vector buffers
-    shrink the feasible tile set.
-    """
-    mm_ops = [op for op in g.ops if op.is_matmul]
-    if len(mm_ops) != 1:
-        raise GraphError("cube-vector group needs exactly one matmul")
-    mm = mm_ops[0]
-    chain = [op for op in g.ops if op is not mm]
-    if any(not op.is_elementwise for op in chain):
-        raise GraphError("cube-vector chain must be element-wise")
-    extra = _chain_peak_buffers(g, mm, chain)
-    return tile_matmul(g, cfg, extra_bufs=extra, kind="cube_vector")
 
 
 def _chain_peak_buffers(g: OperatorGraph, mm, chain) -> int:

@@ -88,7 +88,7 @@ def random_instruction(rng: np.random.Generator) -> VirtualInstruction:
 
 def random_header(rng: np.random.Generator) -> ProgramHeader:
     return ProgramHeader(
-        KernelType(int(rng.integers(0, 4))),
+        KernelType(int(rng.integers(0, len(KernelType)))),
         0,
         int(rng.integers(1, 1 << 16)),
         int(rng.integers(1, 129)),

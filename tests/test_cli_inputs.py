@@ -10,7 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tilevm import cli
 from tilevm.cli import EXIT_CHECK_FAILED, EXIT_PARSE_ERROR, main
+from tilevm.encoder import run_groups
 
 EXIT_CODES = {0, 1, 2, 3, 4}
 
@@ -166,6 +168,44 @@ def test_strided_input_runs_correctly(tmp_path, capsys, kind, case, mode):
     code, captured = _run(_write(tmp_path, mode, content), mode, capsys)
     assert code == 0, captured.err
     assert "RESULT PASS" in captured.out
+
+
+ALIASING = {  # shape, strides: two indices reach one element
+    "zero_stride": ([4, 8], [0, 1]),
+    "equal_strides": ([4, 8], [1, 1]),
+    "overlapping_rows": ([4, 8], [4, 1]),
+    "overlapping_transpose": ([8, 4], [1, 4]),
+}
+
+
+@pytest.mark.parametrize("mode", ["static", "stream"])
+@pytest.mark.parametrize("case", sorted(ALIASING))
+def test_aliasing_strides_are_a_parse_error(tmp_path, capsys, case, mode):
+    shape, strides = ALIASING[case]
+    a = {"id": "a", "dtype": "f32", "shape": shape, "strides": strides, "seed": 1}
+    doc = _graph([{"kind": "abs", "in": ["a"], "out": "c"}], [a])
+    content = doc if mode == "static" else _trace(doc)
+    code, captured = _run(_write(tmp_path, mode, content), mode, capsys)
+    assert code == EXIT_PARSE_ERROR
+    where = "tensor entry 0" if mode == "static" else "trace event 0"
+    assert captured.err.startswith(f"error: {where}: tensor a: strides {strides} may alias")
+
+
+@pytest.mark.parametrize("mode", ["static", "stream"])
+def test_produced_tensor_is_not_an_input(tmp_path, capsys, monkeypatch, mode):
+    z = {"id": "z", "dtype": "f32", "shape": [4, 8], "data": [0.5] * 32}
+    doc = _graph([{"kind": "abs", "in": ["a"], "out": "z"}], [A, z, B])
+    content = doc if mode == "static" else _trace(doc)
+    seen = []
+
+    def capture(groups, device, cfg, inputs, **kwargs):
+        seen.append(sorted(inputs))
+        return run_groups(groups, device, cfg, inputs, **kwargs)
+
+    monkeypatch.setattr(cli, "run_groups", capture)
+    code, captured = _run(_write(tmp_path, mode, content), mode, capsys)
+    assert code == 0, captured.err
+    assert seen and all(keys == ["a", "b"] for keys in seen)
 
 
 # --- mutations of small valid inputs -------------------------------------------

@@ -22,7 +22,6 @@ from tilevm import (
     RefTensor,
     VirtualInstruction,
     dispatch,
-    dispatch_stacked,
     encode_program,
     exec_instruction,
     fuse_static,
@@ -551,37 +550,6 @@ def test_makespan_at_least_busy_time():
         assert stats.makespan >= max(busy.values())
 
 
-def test_stacked_spatial_makespan_is_max():
-    cfg = DeviceConfig(num_cores=4)
-    device = DeviceState(4, 4096, 1 << 16)
-    p1 = _simple_program(4, 2, tile=8)
-    p2 = _simple_program(2, 2, tile=4)
-    s1 = simulate_timing(p1, cfg)
-    s2 = simulate_timing(p2, cfg)
-    stacked = dispatch_stacked([[(p1, 0, 2), (p2, 2, 4)]], device, cfg)
-    assert stacked.makespan == max(s1.makespan, s2.makespan)
-
-
-def test_stacked_temporal_chains_per_core():
-    cfg = DeviceConfig(num_cores=2)
-    device = DeviceState(2, 4096, 1 << 16)
-    p1 = _simple_program(4, 2, tile=8)
-    p2 = _simple_program(2, 2, tile=4)
-    s1 = simulate_timing(p1, cfg)
-    s2 = simulate_timing(p2, cfg)
-    chained = dispatch_stacked([[(p1, 0, 2)], [(p2, 0, 2)]], device, cfg)
-    assert chained.makespan <= s1.makespan + s2.makespan
-    assert chained.makespan > max(s1.makespan, s2.makespan)
-
-
-def test_stacked_rejects_overlapping_cores():
-    cfg = DeviceConfig(num_cores=4)
-    device = DeviceState(4, 4096, 1 << 16)
-    p = _simple_program(4, 2)
-    with pytest.raises(VMError):
-        dispatch_stacked([[(p, 0, 2), (p, 1, 3)]], device, cfg)
-
-
 def test_decode_hidden_property_random_configs():
     rng = np.random.default_rng(77)
     program = _simple_program(8, 2, tile=64)
@@ -682,7 +650,7 @@ def test_timing_model_matches_reference():
             assert got.decode_burst == want.decode_burst, label
             assert got.decode_hidden == want.decode_hidden, label
             assert len({id(b) for b in got.per_core_busy}) == header.block_dim
-            assert device_mod._member_spans(program, cfg) == [
+            assert [span for span, _, _ in device_mod._core_schedules(program, cfg)] == [
                 reference_simulate_core(insns, r, cfg, cfg.decode_cost, cfg.sync_cost)[0]
                 for r in ranges
             ], label
@@ -707,10 +675,10 @@ def test_write_set_checker_catches_overlap():
     device = DeviceState(2, 4096, 1 << 16)
     device.cores[0].write_ranges.append((0, 32))
     device.cores[1].write_ranges.append((32, 64))
-    _check_disjoint_writes(device, 0, 2)  # disjoint: fine
+    _check_disjoint_writes(device, 2)  # disjoint: fine
     device.cores[1].write_ranges.append((16, 48))
     with pytest.raises(VMError):
-        _check_disjoint_writes(device, 0, 2)
+        _check_disjoint_writes(device, 2)
 
 
 def test_exec_rejects_unknown_dtype_code():

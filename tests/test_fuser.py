@@ -8,10 +8,9 @@ from tilevm import (
     OperatorGraph,
     can_merge_iteration,
     fuse_static,
-    plan_stacking,
 )
 from tilevm.encoder import run_groups
-from tilevm.fuser import FusedGroup, FusionBuffer
+from tilevm.fuser import FusionBuffer
 from tilevm.graph import BasicOp, GraphError, TensorMeta, decompose
 from tilevm.oracle import compare
 
@@ -164,52 +163,6 @@ def test_vv_fusion_reduces_global_traffic():
     fused_bytes = sum(s.global_bytes_moved for s in fused_stats)
     single_bytes = sum(s.global_bytes_moved for s in single_stats)
     assert fused_bytes < single_bytes
-
-
-def test_plan_stacking_even_split():
-    g = OperatorGraph()
-    for tid in ("a", "x", "b", "y"):
-        g.tensor(tid, "f32", (8, 8))
-    op1 = g.op("sqrt", ["a"], "x")
-    op2 = g.op("abs", ["b"], "y")
-    g.set_outputs(["x", "y"])
-    g1 = FusedGroup("singleton", [op1], g, stores=["x"])
-    g2 = FusedGroup("singleton", [op2], g, stores=["y"])
-    plan = plan_stacking([(g1, 20), (g2, 20)], DeviceConfig(num_cores=40))
-    assert len(plan.waves) == 1 and plan.is_spatial and not plan.is_temporal
-    (m1, m2) = plan.waves[0]
-    assert (m1.cores, m2.cores) == (20, 20)
-    assert (m1.core_lo, m1.core_hi, m2.core_lo, m2.core_hi) == (0, 20, 20, 40)
-
-
-def test_plan_stacking_proportional_with_floor():
-    g = OperatorGraph()
-    for i in range(3):
-        g.tensor(f"a{i}", "f32", (8, 8))
-        g.tensor(f"x{i}", "f32", (8, 8))
-    ops = [g.op("sqrt", [f"a{i}"], f"x{i}") for i in range(3)]
-    g.set_outputs(["x0", "x1", "x2"])
-    groups = [FusedGroup("singleton", [op], g, stores=[op.output]) for op in ops]
-    plan = plan_stacking(
-        list(zip(groups, [10, 10, 60])), DeviceConfig(num_cores=40)
-    )
-    shares = [m.cores for m in plan.waves[0]]
-    assert shares == [5, 5, 30]
-
-
-def test_plan_stacking_dependent_chain_is_temporal():
-    g = OperatorGraph()
-    g.tensor("a", "f32", (8, 8))
-    g.tensor("x", "f32", (8, 8))
-    g.tensor("y", "f32", (8, 8))
-    op1 = g.op("sqrt", ["a"], "x")
-    op2 = g.op("abs", ["x"], "y")
-    g.set_outputs(["y"])
-    g1 = FusedGroup("singleton", [op1], g, stores=["x"])
-    g2 = FusedGroup("singleton", [op2], g, stores=["y"])
-    plan = plan_stacking([(g1, 8), (g2, 8)], DeviceConfig(num_cores=4))
-    assert plan.is_temporal and not plan.is_spatial
-    assert len(plan.waves) == 2
 
 
 # --- streaming ------------------------------------------------------------------

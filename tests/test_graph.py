@@ -45,6 +45,32 @@ def test_tensor_meta_validation():
     assert not strided.is_contiguous
 
 
+def test_accepted_strides_never_alias():
+    """Every strided layout a graph accepts maps distinct indices to distinct
+    elements, and the rule accepts common layouts."""
+    rng = np.random.default_rng(31)
+    accepted = 0
+    for _ in range(300):
+        rank = int(rng.integers(1, 4))
+        shape = tuple(int(d) for d in rng.integers(1, 5, rank))
+        strides = tuple(int(s) for s in rng.integers(0, 13, rank))
+        try:
+            OperatorGraph().tensor("t", "f32", shape, strides)
+        except GraphError:
+            continue
+        accepted += 1
+        offsets = [sum(i * s for i, s in zip(idx, strides)) for idx in np.ndindex(*shape)]
+        assert len(set(offsets)) == len(offsets), (shape, strides)
+    assert accepted > 50
+    g = OperatorGraph()
+    g.symbols.declare("n")
+    g.tensor("rows", "f32", ("n", 8), (16, 1))  # unknown outermost extent
+    g.tensor("one", "f32", (1, 8), (0, 1))  # a size-1 dim's stride is never used
+    g.tensor("t", "f32", (8, 4), (1, 8))  # a transpose
+    with pytest.raises(GraphError, match="may alias"):
+        g.tensor("cols", "f32", (8, "n"), (16, 1))  # unknown inner extent
+
+
 def test_graph_single_writer_and_arity():
     g = OperatorGraph()
     g.tensor("a", "f32", (4,))

@@ -8,15 +8,12 @@ from tilevm import (
     DeviceState,
     OperatorGraph,
     compile_group,
-    dispatch_stacked,
     fuse_static,
-    plan_stacking,
+    tile_cube,
     tile_for_group,
-    tile_matmul,
 )
 from tilevm.encoder import bind_group, run_groups
 from tilevm.isa import TileOrder
-from tilevm.tiler import tile_cube_vector
 
 from helpers import oracle_env, random_vector_graph, run_static
 
@@ -106,7 +103,7 @@ def test_swizzle_orders_are_functionally_identical():
     for order in (TileOrder.ROW_MAJOR, TileOrder.COL_MAJOR, TileOrder.BLOCK_ZIGZAG):
         groups = fuse_static(g)
         # tiled but not lowered, so compile_group lowers it in this order
-        tg = tile_matmul(groups[0].subgraph(), cfg)
+        tg = tile_cube(groups[0].subgraph(), cfg)
         tg.order = order
         device = DeviceState.from_config(cfg)
         sub = tg.graph
@@ -166,54 +163,6 @@ def test_frozen_output_store_once():
     results, _ = run_groups(groups, device, cfg, inputs, debug=True)
     assert np.allclose(results["small"], np.sqrt(inputs["a"]), atol=1e-6)
     assert np.array_equal(results["big"], inputs["a"] + inputs["b"])
-
-
-def test_stacked_plan_executes_and_matches_sequential():
-    # two independent kernels: spatial stacking must give identical memory
-    g = OperatorGraph()
-    g.tensor("a", "f32", (16, 32))
-    g.tensor("x", "f32", (16, 32))
-    g.tensor("b", "f32", (8, 64))
-    g.tensor("y", "f32", (8, 64))
-    g.op("sqrt", ["a"], "x")
-    g.op("abs", ["b"], "y")
-    g.set_outputs(["x", "y"])
-    cfg = DeviceConfig(num_cores=8)
-    rng = np.random.default_rng(108)
-    inputs = {
-        "a": rng.uniform(0, 1, (16, 32)).astype(np.float32),
-        "b": rng.uniform(-1, 1, (8, 64)).astype(np.float32),
-    }
-    groups = fuse_static(g)
-    assert len(groups) == 2
-    tiled = []
-    device = DeviceState.from_config(cfg)
-    for grp in groups:
-        tg = tile_for_group(grp, cfg)
-        bind_group(device, tg.graph, inputs)
-        tiled.append((grp, tg))
-    plan = plan_stacking([(grp, tg.tiles) for grp, tg in tiled], cfg)
-    assert plan.is_spatial
-    stages = []
-    for wave in plan.waves:
-        stage = []
-        for member in wave:
-            grp = member.group
-            tg = next(t for g2, t in tiled if g2 is grp)
-            share_cfg = DeviceConfig(
-                num_cores=member.cores, local_mem_bytes=cfg.local_mem_bytes,
-                instr_width_bytes=cfg.instr_width_bytes,
-            )
-            tg2 = tile_for_group(grp, share_cfg)
-            program = compile_group(grp, tg2, share_cfg)
-            stage.append((program, member.core_lo, member.core_lo + program.header.block_dim))
-        stages.append(stage)
-    stats = dispatch_stacked(stages, device, cfg, debug=True)
-    assert stats.makespan > 0
-    got_x = device.read_tensor(g.tensors["x"], (16, 32))
-    got_y = device.read_tensor(g.tensors["y"], (8, 64))
-    assert np.allclose(got_x, np.sqrt(inputs["a"]), atol=1e-6)
-    assert np.array_equal(got_y, np.abs(inputs["b"]))
 
 
 def test_mixed_dtype_cast_pipeline():
@@ -368,7 +317,7 @@ def test_cube_group_with_a_widening_cast_is_retiled_to_fit(k):
     cfg = DeviceConfig()
     inputs = {t: rng.uniform(-1, 1, g.resolved_shape(t)).astype(np.float16) for t in "ab"}
     [group] = fuse_static(g)
-    first = tile_cube_vector(group.subgraph(), cfg)  # overflows once lowered
+    first = tile_cube(group.subgraph(), cfg)  # overflows once lowered
     tg = tile_for_group(group, cfg)
     assert tg.alloc.high_water <= cfg.local_mem_bytes
     assert tg.tm * tg.tn < first.tm * first.tn

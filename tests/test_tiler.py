@@ -9,9 +9,8 @@ from tilevm import (
     OperatorGraph,
     fuse_static,
     hardware_align_div,
-    tile_cube_vector,
+    tile_cube,
     tile_for_group,
-    tile_matmul,
     tile_vector_graph,
     tiling_cost,
 )
@@ -165,8 +164,9 @@ def test_partition_invariants_randomized():
 
 def test_tile_matmul_single_tile():
     cfg = DeviceConfig(num_cores=40)
-    tg = tile_matmul(_matmul_graph(32, 32, 32), cfg)
+    tg = tile_cube(_matmul_graph(32, 32, 32), cfg)
     assert (tg.tm, tg.tn) == (32, 32)
+    assert tg.kind == "matmul"
     assert tg.tiles == 1 and tg.grid == (1, 1)
 
 
@@ -174,7 +174,7 @@ def test_tile_matmul_memory_forced_grid():
     # [64,32]x[32,64] f32 with memory forcing 32x32 output tiles
     # budget(32,32,32) = (32*32+32*32)*4 + 32*32*4 = 12288
     cfg = DeviceConfig(num_cores=40, local_mem_bytes=12288)
-    tg = tile_matmul(_matmul_graph(64, 32, 64), cfg)
+    tg = tile_cube(_matmul_graph(64, 32, 64), cfg)
     assert (tg.tm, tg.tn) == (32, 32)
     assert tg.tiles == 4 and tg.grid == (2, 2)
     assert tg.order == TileOrder.ROW_MAJOR
@@ -186,7 +186,7 @@ def test_tile_matmul_memory_forced_grid():
 
 def test_tile_matmul_tail_rows():
     cfg = DeviceConfig(num_cores=40)
-    tg = tile_matmul(_matmul_graph(17, 16, 16), cfg)
+    tg = tile_cube(_matmul_graph(17, 16, 16), cfg)
     assert tg.tm == 16 and tg.grid == (2, 1) and tg.tiles == 2
     # tail tile covers a single effective row
     assert min(tg.tm, 17 - 1 * tg.tm) == 1
@@ -195,7 +195,7 @@ def test_tile_matmul_tail_rows():
 def test_tile_matmul_k_split():
     # A/B slabs for full k exceed memory; k must split with accumulation
     cfg = DeviceConfig(num_cores=4, local_mem_bytes=16 * 1024)
-    tg = tile_matmul(_matmul_graph(16, 1024, 16), cfg)
+    tg = tile_cube(_matmul_graph(16, 1024, 16), cfg)
     assert tg.k_chunk < 1024 and tg.k_chunk % 16 == 0
     budget = (tg.tm * tg.k_chunk + tg.k_chunk * tg.tn) * 4 + tg.tm * tg.tn * 4
     assert budget <= cfg.local_mem_bytes
@@ -204,7 +204,7 @@ def test_tile_matmul_k_split():
 def test_tile_matmul_infeasible():
     cfg = DeviceConfig(num_cores=4, local_mem_bytes=1024)
     with pytest.raises(InfeasibleTilingError):
-        tile_matmul(_matmul_graph(64, 64, 64), cfg)
+        tile_cube(_matmul_graph(64, 64, 64), cfg)
 
 
 def _cv_graph(m, k, n, chain=("add",)):
@@ -230,8 +230,9 @@ def _cv_graph(m, k, n, chain=("add",)):
 
 def test_tile_cube_vector_single_tile():
     cfg = DeviceConfig(num_cores=40)
-    tg = tile_cube_vector(_cv_graph(32, 32, 32), cfg)
+    tg = tile_cube(_cv_graph(32, 32, 32), cfg)
     assert tg.tiles == 1 and (tg.tm, tg.tn) == (32, 32)
+    assert tg.kind == "cube_vector"
     assert tg.tile_elems == 1024  # the vector add runs on the same 1024-elem tile
 
 
@@ -240,7 +241,7 @@ def test_tile_cube_vector_memory_cap():
     # budget: slabs (32*64+64*32)*4 + out tiles 32*32*4*(1+2 extra)
     cap = (32 * 64 + 64 * 32) * 4 + 32 * 32 * 4 * 3
     cfg = DeviceConfig(num_cores=40, local_mem_bytes=cap)
-    tg = tile_cube_vector(_cv_graph(64, 64, 64), cfg)
+    tg = tile_cube(_cv_graph(64, 64, 64), cfg)
     assert (tg.tm, tg.tn) == (32, 32)
     assert tg.tiles == 4
     assert tg.tile_elems == 1024
@@ -250,11 +251,7 @@ def test_tile_cube_vector_chain_shrinks_feasible_set():
     def feasible(graph_fn, cap):
         cfg = DeviceConfig(num_cores=4, local_mem_bytes=cap)
         try:
-            tg = (
-                tile_cube_vector(graph_fn, cfg)
-                if len(graph_fn.ops) > 1
-                else tile_matmul(graph_fn, cfg)
-            )
+            tg = tile_cube(graph_fn, cfg)
             return tg.tm * tg.tn
         except InfeasibleTilingError:
             return 0
