@@ -8,10 +8,8 @@ from .isa import (
     KernelType,
     ProgramHeader,
     Queue,
-    TileOrder,
     VirtualInstruction,
     decode_instruction,
-    decode_program,
     disassemble,
     encode_instruction,
     encode_program,
@@ -53,7 +51,6 @@ from .device import (
 from .fuser import (
     FusedGroup,
     FusionBuffer,
-    can_merge_iteration,
     fuse_static,
 )
 from .oracle import RefTensor, compare, ref_execute

@@ -22,6 +22,7 @@ from .encoder import (
     EncoderError,
     bind_group,
     compile_group,
+    run_group,
     run_groups,
     tile_for_group,
 )
@@ -229,24 +230,21 @@ def _print_costs(tg, cfg, out) -> None:
             print(f"  cost[{size}]={cost:.6g}", file=out)
 
 
-def _print_group_reports(groups, cfg, out, costs: bool = False) -> None:
-    for i, group in enumerate(groups):
-        tg = tile_for_group(group, cfg)
-        if tg.kind == "vector":
-            print(
-                f"group {i}: {group.describe()} tile={tg.tile_elems} "
-                f"tiles={tg.tiles} tail={tg.tail_elems} t_max={tg.t_max}",
-                file=out,
-            )
-            if costs:
-                _print_costs(tg, cfg, out)
-        else:
-            print(
-                f"group {i}: {group.describe()} tm={tg.tm} tn={tg.tn} "
-                f"k_chunk={tg.k_chunk} grid={tg.grid[0]}x{tg.grid[1]} "
-                f"order={tg.order.name.lower()} tiles={tg.tiles}",
-                file=out,
-            )
+def _print_report(i, group, tg, cfg, out, costs: bool = False) -> None:
+    if tg.kind == "vector":
+        print(
+            f"group {i}: {group.describe()} tile={tg.tile_elems} "
+            f"tiles={tg.tiles} tail={tg.tail_elems} t_max={tg.t_max}",
+            file=out,
+        )
+        if costs:
+            _print_costs(tg, cfg, out)
+    else:
+        print(
+            f"group {i}: {group.describe()} tm={tg.tm} tn={tg.tn} "
+            f"k_chunk={tg.k_chunk} grid={tg.grid[0]}x{tg.grid[1]} tiles={tg.tiles}",
+            file=out,
+        )
 
 
 def cmd_run(args, out=sys.stdout) -> int:
@@ -255,11 +253,14 @@ def cmd_run(args, out=sys.stdout) -> int:
         return _run_stream(args, cfg, out)
     loaded = load_graph_file(args.path, args.seed)
     g = loaded.graph
-    groups = fuse_static(g)
     device = DeviceState.from_config(cfg)
-    _print_group_reports(groups, cfg, out)
-    results, stats = run_groups(groups, device, cfg, loaded.inputs, debug=True)
-    total_bytes = sum(s.global_bytes_moved for s in stats)
+    results: dict[str, np.ndarray] = {}
+    total_bytes = 0
+    for i, group in enumerate(fuse_static(g)):
+        tg = tile_for_group(group, cfg)
+        _print_report(i, group, tg, cfg, out)
+        stats = run_group(group, tg, device, cfg, loaded.inputs, results, debug=True)
+        total_bytes += stats.global_bytes_moved
     print(f"bytes_moved={total_bytes} seed={args.seed}", file=out)
     if not args.check:
         return EXIT_OK
@@ -338,7 +339,8 @@ def _run_stream(args, cfg, out) -> int:
 def cmd_tile(args, out=sys.stdout) -> int:
     loaded = load_graph_file(args.path, args.seed)
     cfg = _make_config(args)
-    _print_group_reports(fuse_static(loaded.graph), cfg, out, costs=True)
+    for i, group in enumerate(fuse_static(loaded.graph)):
+        _print_report(i, group, tile_for_group(group, cfg), cfg, out, costs=True)
     return EXIT_OK
 
 

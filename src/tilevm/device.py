@@ -48,7 +48,10 @@ class Core:
 
 
 class DeviceState:
-    """Global memory arena plus N cores with private local memories."""
+    """Global memory arena plus N cores with private local memories.
+
+    ``global_mem_bytes`` is the arena's starting size; it grows on demand.
+    """
 
     def __init__(
         self,
@@ -73,12 +76,13 @@ class DeviceState:
         return len(self.cores)
 
     def alloc_global(self, nbytes: int, align: int = 64) -> int:
+        """Reserve ``nbytes``; the arena at least doubles when they do not
+        fit, so a view of ``global_mem`` must not outlive an allocation."""
         addr = (self._next_free + align - 1) // align * align
         if addr + nbytes > len(self.global_mem):
-            raise VMError(
-                f"global memory exhausted: need {nbytes} bytes at {addr}, "
-                f"arena is {len(self.global_mem)}"
-            )
+            grown = np.zeros(max(addr + nbytes, 2 * len(self.global_mem)), np.uint8)
+            grown[: self._next_free] = self.global_mem[: self._next_free]
+            self.global_mem = grown
         self._next_free = addr + nbytes
         return addr
 
@@ -94,10 +98,7 @@ class DeviceState:
         """
         addr = self.bindings.get(meta.id)
         if addr is None:
-            try:
-                addr = self.alloc_global(nbytes if nbytes is not None else meta.nbytes)
-            except VMError as exc:
-                raise VMError(f"tensor {meta.id}: {exc}") from None
+            addr = self.alloc_global(nbytes if nbytes is not None else meta.nbytes)
             self.bindings[meta.id] = addr
         meta.addr = addr
         if data is not None:
@@ -223,7 +224,7 @@ def _exec_store(insn, tile, core, device, stats) -> None:
 def _view_geometry(insn, tile) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per-dim (origin, effective extent) of this tile's box."""
     ex = insn.extras
-    coords = decompose_tile_index(tile, ex["grid"], ex["order"])
+    coords = decompose_tile_index(tile, ex["grid"])
     origins, effs = [], []
     for c, step, off, size, full in zip(
         coords, ex["steps"], ex["offsets"], ex["sizes"], ex["fulls"]
@@ -385,7 +386,7 @@ def _exec_broadcast(insn, tile, core, device, stats) -> None:
 def matmul_effective(insn, tile) -> tuple[int, int, int, int]:
     """(ti, tj, m_eff, n_eff) for a matmul tile index."""
     ex = insn.extras
-    ti, tj = decompose_tile_index(tile, (ex["grid_r"], ex["grid_c"]), ex["order"])
+    ti, tj = decompose_tile_index(tile, (ex["grid_r"], ex["grid_c"]))
     m_eff = min(ex["m"], ex["m_total"] - ti * ex["m"])
     n_eff = min(ex["n"], ex["n_total"] - tj * ex["n"])
     return ti, tj, m_eff, n_eff

@@ -22,7 +22,6 @@ from .isa import (
     KernelType,
     ProgramHeader,
     Queue,
-    TileOrder,
     VirtualInstruction,
     encode_program,
     sync_set,
@@ -32,16 +31,13 @@ from .tiler import (
     DeviceConfig,
     InfeasibleTilingError,
     TiledGraph,
+    aligned_shape,
     tile_cube,
     tile_vector_graph,
 )
 
 
 class EncoderError(ValueError):
-    pass
-
-
-class AllocationError(EncoderError):
     pass
 
 
@@ -147,10 +143,6 @@ class _Arena:
         self.free = merged
 
 
-def _aligned(shape: tuple[int, ...], rank: int) -> tuple[int, ...]:
-    return (1,) * (rank - len(shape)) + tuple(shape)
-
-
 def _aligned_strides(meta, g: OperatorGraph, rank: int) -> tuple[int, ...]:
     shape = g.resolved_shape(meta.id)
     strides = meta.elem_strides() if meta.strides is not None else None
@@ -217,7 +209,7 @@ class _VectorLowerer(_Lowerer):
 
     def _shape(self, tid: str) -> tuple[int, ...]:
         if tid not in self._shapes:
-            self._shapes[tid] = _aligned(self.g.resolved_shape(tid), self.rank)
+            self._shapes[tid] = aligned_shape(self.g.resolved_shape(tid), self.rank)
         return self._shapes[tid]
 
     def _inrow(self, tid: str) -> tuple[int, ...]:
@@ -278,7 +270,6 @@ class _VectorLowerer(_Lowerer):
                 extras={
                     "dtype": int(meta.dtype),
                     "dims": dims,
-                    "order": int(TileOrder.ROW_MAJOR),
                     "grid": tuple(grid),
                     "steps": tuple(steps),
                     "offsets": (0,) * dims,
@@ -395,10 +386,6 @@ class _CubeLowerer(_Lowerer):
         mm_buf = self._buffer(mm.output, tm * tn, out_dtype)
         self.buffer_of[mm.output] = mm_buf
         chunks = ceil(k / kc)
-        base = {
-            "order": int(tg.order),
-            "dims": 2,
-        }
         for c in range(chunks):
             kc_c = min(kc, k - c * kc)
             self.protos.append(
@@ -408,8 +395,8 @@ class _CubeLowerer(_Lowerer):
                     tile_size=tm * kc_c,
                     total_size=m * k,
                     extras={
-                        **base,
                         "dtype": int(a_meta.dtype),
+                        "dims": 2,
                         "grid": (gr, gc),
                         "steps": (tm, 0),
                         "offsets": (0, c * kc),
@@ -427,8 +414,8 @@ class _CubeLowerer(_Lowerer):
                     tile_size=kc_c * tn,
                     total_size=k * n,
                     extras={
-                        **base,
                         "dtype": int(b_meta.dtype),
+                        "dims": 2,
                         "grid": (gr, gc),
                         "steps": (0, tn),
                         "offsets": (c * kc, 0),
@@ -454,7 +441,6 @@ class _CubeLowerer(_Lowerer):
                         "n_total": n,
                         "grid_r": gr,
                         "grid_c": gc,
-                        "order": int(tg.order),
                         "acc": 1 if c else 0,
                     },
                 )
@@ -483,7 +469,7 @@ class _CubeLowerer(_Lowerer):
         tg, g = self.tg, self.g
         meta = g.tensors[tid]
         m, _, n = tg.mkn
-        shape = _aligned(g.resolved_shape(tid), 2)
+        shape = aligned_shape(g.resolved_shape(tid), 2)
         if shape not in ((m, n), (1, n)):
             raise EncoderError(
                 f"cube-vector chain input {tid} has shape {shape}; expected "
@@ -502,7 +488,6 @@ class _CubeLowerer(_Lowerer):
                 extras={
                     "dtype": int(meta.dtype),
                     "dims": 2,
-                    "order": int(tg.order),
                     "grid": tg.grid,
                     "steps": (0 if frozen_rows else tg.tm, tg.tn),
                     "offsets": (0, 0),
@@ -529,7 +514,6 @@ class _CubeLowerer(_Lowerer):
                 extras={
                     "dtype": int(meta.dtype),
                     "dims": 2,
-                    "order": int(tg.order),
                     "grid": tg.grid,
                     "steps": (tg.tm, tg.tn),
                     "offsets": (0, 0),
@@ -640,20 +624,6 @@ def _allocate(lowering: _Lowering) -> LocalAllocation:
                 off, size = slots[name]
                 arena.release(off, size)
     return LocalAllocation(slots, high)
-
-
-def _lower_and_fit(
-    tg: TiledGraph, local_mem_bytes: int
-) -> tuple[_Lowering, LocalAllocation]:
-    lowering = _lower(tg)
-    alloc = _allocate(lowering)
-    if alloc.high_water > local_mem_bytes:
-        ops = ",".join(op.kind for op in tg.graph.ops)
-        raise AllocationError(
-            f"{tg.kind} group {{{ops}}}: local allocation needs "
-            f"{alloc.high_water} bytes, core has {local_mem_bytes}"
-        )
-    return lowering, alloc
 
 
 _LOADS = (InstructionKind.Load, InstructionKind.ViewLoad)
@@ -780,15 +750,9 @@ _KERNEL_FOR = {
 
 
 def compile_group(group, tg: TiledGraph, cfg: DeviceConfig) -> BytecodeProgram:
-    """Encode one tiled fused group into a dispatchable bytecode program.
-
-    A ``TiledGraph`` from ``tile_for_group`` carries its accepted lowering,
-    so only a hand-made one is lowered here.
-    """
-    lowering, alloc = tg.lowering, tg.alloc
-    if lowering is None:
-        lowering, alloc = _lower_and_fit(tg, cfg.local_mem_bytes)
-    insns = _emit(lowering, alloc, tg.graph)
+    """Encode one tiled fused group into a dispatchable bytecode program:
+    the lowering and allocation ``tile_for_group`` accepted, with its syncs."""
+    insns = _emit(tg.lowering, tg.alloc, tg.graph)
     validate_sync(insns)
     header = ProgramHeader(
         _KERNEL_FOR[tg.kind],
@@ -852,22 +816,39 @@ def run_groups(
     inputs: dict[str, np.ndarray],
     debug: bool = False,
 ) -> tuple[dict[str, np.ndarray], list[ExecutionStats]]:
-    """Run a sequence of fused groups one after another.
+    """Tile and run a sequence of fused groups one after another.
 
-    Each group is tiled, its inputs and stores are bound in global memory,
-    then it is compiled, dispatched and its stores are read back before the
-    next group starts.  Returns the stored tensors of all groups and one
-    ``ExecutionStats`` per group.
+    Returns the stored tensors of all groups and one ``ExecutionStats``
+    per group.
     """
-    all_stats: list[ExecutionStats] = []
     results: dict[str, np.ndarray] = {}
-    for group in groups:
-        tg = tile_for_group(group, cfg)
-        bind_group(device, tg.graph, inputs)
-        program = compile_group(group, tg, cfg)
-        all_stats.append(dispatch(program, device, cfg=cfg, debug=debug))
-        _collect(device, tg, results)
+    all_stats = [
+        run_group(group, tile_for_group(group, cfg), device, cfg, inputs, results, debug)
+        for group in groups
+    ]
     return results, all_stats
+
+
+def run_group(
+    group,
+    tg: TiledGraph,
+    device: DeviceState,
+    cfg: DeviceConfig,
+    inputs: dict[str, np.ndarray],
+    results: dict[str, np.ndarray],
+    debug: bool = False,
+) -> ExecutionStats:
+    """Run one tiled group: bind its inputs and stores in global memory,
+    compile and dispatch it, then read its stores back into ``results``
+    before the next group starts."""
+    bind_group(device, tg.graph, inputs)
+    program = compile_group(group, tg, cfg)
+    stats = dispatch(program, device, cfg=cfg, debug=debug)
+    for tid in tg.graph.outputs:
+        results[tid] = device.read_tensor(
+            tg.graph.tensors[tid], tg.graph.resolved_shape(tid)
+        )
+    return stats
 
 
 def bind_group(
@@ -889,10 +870,3 @@ def bind_group(
         else:
             elems = sum((d - 1) * s for d, s in zip(shape, meta.strides)) + 1
         device.bind(meta, data, nbytes=elems * meta.dtype.nbytes, strides=meta.strides)
-
-
-def _collect(device: DeviceState, tg: TiledGraph, results: dict) -> None:
-    for tid in tg.graph.outputs:
-        results[tid] = device.read_tensor(
-            tg.graph.tensors[tid], tg.graph.resolved_shape(tid)
-        )

@@ -53,20 +53,6 @@ class FusedGroup:
         return f"{self.kind}{{{','.join(self.op_kinds)}}}"
 
 
-def can_merge_iteration(a: BasicOp, b: BasicOp, g: OperatorGraph) -> bool:
-    """True iff the two vector ops' output iteration spaces unify.
-
-    Constants match by value, symbols by identity or recorded equality
-    (runtime bindings make symbols concrete), size-1 dims broadcast; an
-    unknown symbol against anything else is conservatively unmergeable.
-    """
-    if a.is_matmul or b.is_matmul:
-        return False
-    sa = g.tensors[a.output].shape
-    sb = g.tensors[b.output].shape
-    return unify_shapes(sa, sb, g.symbols) is not None
-
-
 def _share_tensor(a: BasicOp, b: BasicOp) -> bool:
     ta = {*a.inputs, a.output}
     tb = {*b.inputs, b.output}

@@ -411,10 +411,6 @@ class OperatorGraph:
     def is_vector_only(self) -> bool:
         return all(not op.is_matmul for op in self.ops)
 
-    @property
-    def is_concrete(self) -> bool:
-        return all(self.tensors[t].is_concrete for t in self.touched_tensor_ids())
-
     def touched_tensor_ids(self) -> list[str]:
         return list(dict.fromkeys(t for op in self.ops for t in (*op.inputs, op.output)))
 

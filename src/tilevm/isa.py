@@ -88,14 +88,6 @@ class Queue(IntEnum):
     SCALAR = 3
 
 
-class TileOrder(IntEnum):
-    """Visit order of a multi-dimensional tile grid (swizzle)."""
-
-    ROW_MAJOR = 0
-    COL_MAJOR = 1
-    BLOCK_ZIGZAG = 2
-
-
 class InstructionKind(IntEnum):
     Load = 0
     ViewLoad = 1
@@ -245,7 +237,6 @@ _VIEW = (
     ("src0", "A"),
     ("dtype", "U"),
     ("dims", "U"),
-    ("order", "U"),
     ("grid", "V"),
     ("steps", "V"),
     ("offsets", "V"),
@@ -326,7 +317,6 @@ SCHEMAS: dict[InstructionKind, tuple[tuple[str, str], ...]] = {
         ("n_total", "U"),
         ("grid_r", "U"),
         ("grid_c", "U"),
-        ("order", "U"),
         ("acc", "U"),
         ("tile_size", "U"),
         ("total_size", "U"),
@@ -575,30 +565,12 @@ def encode_program(
     )
 
 
-def decode_program(
-    program: BytecodeProgram | bytes,
-) -> tuple[ProgramHeader, list[VirtualInstruction]]:
-    if isinstance(program, (bytes, bytearray)):
-        program = BytecodeProgram.from_bytes(bytes(program))
-    return program.header, program.instructions()
-
-
-def decompose_tile_index(
-    index: int, grid: tuple[int, ...], order: int
-) -> tuple[int, ...]:
-    """Map a flat tile index to per-dimension grid coordinates."""
+def decompose_tile_index(index: int, grid: tuple[int, ...]) -> tuple[int, ...]:
+    """Map a flat tile index to grid coordinates; grids are visited
+    row-major, the last dimension fastest."""
     coords = [0] * len(grid)
-    rest = index
-    if order == TileOrder.COL_MAJOR:
-        for d in range(len(grid)):
-            coords[d] = rest % grid[d]
-            rest //= grid[d]
-    else:
-        for d in reversed(range(len(grid))):
-            coords[d] = rest % grid[d]
-            rest //= grid[d]
-        if order == TileOrder.BLOCK_ZIGZAG and len(grid) == 2 and coords[0] % 2 == 1:
-            coords[1] = grid[1] - 1 - coords[1]
+    for d in reversed(range(len(grid))):
+        index, coords[d] = divmod(index, grid[d])
     return tuple(coords)
 
 

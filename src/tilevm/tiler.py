@@ -18,7 +18,7 @@ from .graph import (
     dominant_shape,
     peak_live_count,  # noqa: F401  (perfbench/tracing.py wraps it here)
 )
-from .isa import DType, TileOrder
+from .isa import DType
 
 
 TILE_OVERHEAD = 2.0  # the paper's "+2" per-tile term of the cost model
@@ -123,7 +123,7 @@ class TiledGraph:
     For vector groups the iteration space is flattened into ``total_rows``
     rows of ``row_size`` elements each and partitioned into contiguous runs
     of ``rows_per_tile`` rows.  For matmul / cube-vector groups the output
-    space is a 2-D grid of (tm, tn) tiles visited in ``order``.
+    space is a 2-D grid of (tm, tn) tiles, visited row-major.
     """
 
     kind: str  # "vector" | "matmul" | "cube_vector"
@@ -144,7 +144,6 @@ class TiledGraph:
     tn: int = 0
     k_chunk: int = 0
     grid: tuple[int, int] = (0, 0)
-    order: TileOrder = TileOrder.ROW_MAJOR
     mkn: tuple[int, int, int] = (0, 0, 0)
     # set by encoder.tile_for_group: the accepted lowering and its allocation
     lowering: object | None = None
@@ -160,7 +159,7 @@ class TiledGraph:
         assert self.tile_elems <= self.t_max
 
 
-def _aligned_shape(shape: tuple[int, ...], rank: int) -> tuple[int, ...]:
+def aligned_shape(shape: tuple[int, ...], rank: int) -> tuple[int, ...]:
     return (1,) * (rank - len(shape)) + shape
 
 
@@ -178,7 +177,7 @@ def _protection_boundary(g: OperatorGraph, dom: tuple[int, ...]) -> int:
             boundary = min(boundary, rank - 1)
     for tid in g.touched_tensor_ids():
         meta = g.tensors[tid]
-        shape = _aligned_shape(g.resolved_shape(tid), rank)
+        shape = aligned_shape(g.resolved_shape(tid), rank)
         frozen = [d for d in range(rank) if shape[d] == 1 and dom[d] != 1]
         if frozen:
             if frozen == list(range(len(frozen))):

@@ -73,8 +73,6 @@ def random_instruction(rng: np.random.Generator) -> VirtualInstruction:
                 extras[name] = int(rng.integers(0, 4))
             elif name == "cmp":
                 extras[name] = int(rng.integers(0, 6))
-            elif name == "order":
-                extras[name] = int(rng.integers(0, 3))
             else:
                 extras[name] = int(rng.integers(0, 1 << 31))
         elif code == "F":

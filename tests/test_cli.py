@@ -1,8 +1,10 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from tilevm import cli, encoder
 from tilevm.cli import (
     EXIT_COMPILE_OR_RUN,
     EXIT_INFEASIBLE,
@@ -46,6 +48,24 @@ def test_run_worked_example_reports_tiling(tmp_path):
     assert code == EXIT_OK
     assert "tile=832" in text and "tiles=40" in text and "tail=320" in text
     assert "RESULT PASS" in text
+
+
+def test_run_tiles_each_static_group_once(monkeypatch):
+    # the report lines print from the TiledGraph the run compiles
+    calls = []
+    original = encoder.tile_for_group
+
+    def counting(group, cfg):
+        calls.append(group.describe())
+        return original(group, cfg)
+
+    for module in (cli, encoder):
+        monkeypatch.setattr(module, "tile_for_group", counting)
+    path = Path(__file__).parents[1] / "examples" / "addmm_layernorm.json"
+    code, text = _run(["run", str(path), "--check"])
+    assert code == EXIT_OK and "RESULT PASS" in text
+    assert calls == [line.split()[2] for line in text.splitlines() if line.startswith("group ")]
+    assert len(calls) == 2
 
 
 def test_tile_report_values(tmp_path):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 from math import prod
 
@@ -34,7 +33,6 @@ from tilevm.device import VMError, tile_range
 from tilevm.encoder import _OP_TO_KIND, bind_group, compile_group, tile_for_group
 from tilevm.isa import (
     CmpType,
-    TileOrder,
     decode_instruction,
     decompose_tile_index,
     sync_set,
@@ -136,7 +134,7 @@ def test_exec_matmul_semantics():
         total_size=4,
         extras={
             "m": 2, "k": 2, "n": 2, "m_total": 2, "n_total": 2,
-            "grid_r": 1, "grid_c": 1, "order": 0, "acc": 0,
+            "grid_r": 1, "grid_c": 1, "acc": 0,
         },
     )
     exec_instruction(insn, 0, _core(device), device)
@@ -178,7 +176,7 @@ def test_exec_local_out_of_bounds():
 
 
 def _random_box(rng, kind):
-    """A random ViewLoad/ViewStore: 1-3 dims, ragged edges, any tile order.
+    """A random ViewLoad/ViewStore: 1-3 dims, ragged edges.
 
     Global strides lay ``fulls`` out densely in a random dim order, spread
     by a factor of 1-3, so a store never writes one element twice; loads
@@ -221,7 +219,6 @@ def _random_box(rng, kind):
         extras={
             "dtype": int(dtype),
             "dims": dims,
-            "order": int(rng.choice(list(TileOrder))),
             "grid": tuple(grid),
             "steps": tuple(steps),
             "offsets": tuple(offsets),
@@ -236,7 +233,7 @@ def _random_box(rng, kind):
 
 def _box_elements(ex, tile):
     """Per-element (local index, global element index), walked row-major."""
-    coords = decompose_tile_index(tile, ex["grid"], ex["order"])
+    coords = decompose_tile_index(tile, ex["grid"])
     origins = [c * st + off for c, st, off in zip(coords, ex["steps"], ex["offsets"])]
     effs = [min(sz, f - o) for sz, f, o in zip(ex["sizes"], ex["fulls"], origins)]
     elements = []
@@ -299,7 +296,6 @@ def _box_insn(kind, addr, grid, steps, sizes, fulls, strides):
         extras={
             "dtype": int(DType.F32),
             "dims": dims,
-            "order": int(TileOrder.ROW_MAJOR),
             "grid": grid,
             "steps": steps,
             "offsets": (0,) * dims,
@@ -607,9 +603,7 @@ def _timing_corpus():
         tg = tile_for_group(group, cfg)
         bind_group(scratch, tg.graph)
         edge = "ragged" if m % tg.tm or n % tg.tn else "even"
-        for order in TileOrder:
-            tg_o = dataclasses.replace(tg, order=order, lowering=None, alloc=None)
-            yield f"matmul-{order.name}-{edge}", compile_group(group, tg_o, cfg)
+        yield f"matmul-{edge}", compile_group(group, tg, cfg)
     f32 = {"tile_stride": 16, "dtype": int(DType.F32)}
     body = [
         VirtualInstruction(InstructionKind.Load, 0, (0,), 16, 160, f32),
@@ -661,11 +655,11 @@ def test_timing_model_matches_reference():
         )
         seen["block_dim does not divide"] += header.total_tiles % header.block_dim != 0
     # cores with one tile count but different costs, uneven splits, each
-    # core count, ragged grid edges in every order and the Store case
+    # core count, ragged grid edges and the Store case
     assert seen["same tile count, other costs"], seen
     assert seen["block_dim does not divide"], seen
     assert all(seen[f"vector-{c}"] for c in (1, 7, 40)), seen
-    assert all(seen[f"matmul-{o.name}-ragged"] for o in TileOrder), seen
+    assert seen["matmul-ragged"], seen
     assert seen["non-advancing-store"] == 1
 
 

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,7 @@ from tilevm import (
     tile_vector_graph,
     validate_sync,
 )
-from tilevm.encoder import (
-    AllocationError,
-    EncoderError,
-    _lower_and_fit,
-    bind_group,
-    run_groups,
-)
+from tilevm.encoder import EncoderError, bind_group, run_groups
 from tilevm.graph import REDUCTION_KINDS, decompose
 from tilevm.oracle import compare
 from tilevm.isa import MEMORY_KINDS, Queue, sync_set, sync_wait, VirtualInstruction
@@ -96,10 +91,12 @@ def test_allocate_local_copy_pair():
 
 
 def test_allocation_failure_is_detected():
+    # the smallest legal tile is one 16-elem f16 vector of a, b and c: 96 B
     group = _f16_add_group()
-    tg = tile_for_group(group, CFG)
-    with pytest.raises(AllocationError):
-        _lower_and_fit(tg, 128)
+    tg = tile_for_group(group, replace(CFG, local_mem_bytes=96))
+    assert (tg.tile_elems, tg.alloc.high_water) == (16, 96)
+    with pytest.raises(InfeasibleTilingError, match="needs 96 bytes .* core has 95"):
+        tile_for_group(group, replace(CFG, local_mem_bytes=95))
 
 
 def _bind_all(group, cfg, device=None):
@@ -237,6 +234,26 @@ def test_bind_and_run_add():
         debug=True,
     )
     assert out["c"].tolist() == [6.0, 8.0, 10.0, 12.0]
+
+
+def test_global_arena_grows_past_its_starting_size():
+    # five 4 KiB tensors on a 12 KiB starting arena: the second group's
+    # binds grow it, and the first group's stored c must survive the move
+    rng = np.random.default_rng(5)
+    g = OperatorGraph()
+    for tid in ("a", "b", "c", "d", "e"):
+        g.tensor(tid, "f32", (32, 32))
+    g.op("add", ["a", "b"], "c")
+    g.op("matmul", ["c", "d"], "e")
+    g.set_outputs(["e"])
+    inputs = {t: rng.uniform(-1, 1, (32, 32)).astype(np.float32) for t in "abd"}
+    device = DeviceState.from_config(CFG, global_mem_bytes=3 * 4096)
+    groups = fuse_static(g)
+    assert len(groups) == 2
+    out, _ = run_groups(groups, device, CFG, inputs, debug=True)
+    assert len(device.global_mem) >= 5 * 4096
+    c = inputs["a"] + inputs["b"]
+    assert np.allclose(out["e"], c @ inputs["d"], rtol=1e-5, atol=1e-5)
 
 
 def test_bind_and_run_addmm_matches_oracle():

@@ -6,12 +6,11 @@ from tilevm import (
     DeviceState,
     DType,
     OperatorGraph,
-    can_merge_iteration,
     fuse_static,
 )
 from tilevm.encoder import run_groups
-from tilevm.fuser import FusionBuffer
-from tilevm.graph import BasicOp, GraphError, TensorMeta, decompose
+from tilevm.fuser import FusionBuffer, _space
+from tilevm.graph import BasicOp, GraphError, TensorMeta, decompose, unify_shapes
 from tilevm.oracle import compare
 
 from helpers import oracle_env, random_stream, run_static
@@ -32,38 +31,47 @@ def _sym_graph():
     return g
 
 
+def _fused_kinds(g):
+    return [group.op_kinds for group in fuse_static(g)]
+
+
 def test_can_merge_iteration_rules():
+    # one symbol on both sides: the spaces unify and the ops fuse
     g = OperatorGraph()
     g.symbols.declare("s")
     g.tensor("a", "f32", ("s", 20))
     g.tensor("b", "f32", ("s", 20))
     g.tensor("x", "f32", ("s", 20))
     g.tensor("y", "f32", ("s", 20))
-    op1 = g.op("sqrt", ["a"], "x")
-    op2 = g.op("sqrt", ["b"], "y")
-    assert can_merge_iteration(op1, op2, g)
+    g.op("sqrt", ["a"], "x")
+    g.op("add", ["x", "b"], "y")
+    g.set_outputs(["y"])
+    assert unify_shapes(g.tensors["x"].shape, g.tensors["y"].shape, g.symbols) == ("s", 20)
+    assert _fused_kinds(g) == [["sqrt", "add"]]
 
 
 def test_can_merge_broadcast_and_symbols():
     g = _sym_graph()
-    op_b, op_c = g.ops
     # [b,20] vs [c,20] with unrelated symbols: conservative no
-    assert not can_merge_iteration(op_b, op_c, g)
+    assert unify_shapes(("b", 20), ("c", 20), g.symbols) is None
+    assert _fused_kinds(g) == [["add"], ["add"]]
     g2 = _sym_graph()
     g2.symbols.bind("b", 4)
     g2.symbols.bind("c", 4)
-    assert can_merge_iteration(g2.ops[0], g2.ops[1], g2)
+    assert unify_shapes(("b", 20), ("c", 20), g2.symbols) is not None
+    assert _fused_kinds(g2) == [["add", "add"]]
     # [1,20] vs [b,20] broadcasts
     g3 = OperatorGraph()
     g3.symbols.declare("b")
     g3.tensor("p", "f32", (1, 20))
-    g3.tensor("q", "f32", (1, 20))
     g3.tensor("r", "f32", ("b", 20))
     g3.tensor("u", "f32", (1, 20))
     g3.tensor("v", "f32", ("b", 20))
-    o1 = g3.op("add", ["p", "q"], "u")
-    o2 = g3.op("abs", ["r"], "v")
-    assert can_merge_iteration(o1, o2, g3)
+    g3.op("abs", ["p"], "u")
+    g3.op("add", ["u", "r"], "v")
+    g3.set_outputs(["v"])
+    assert unify_shapes((1, 20), ("b", 20), g3.symbols) == ("b", 20)
+    assert _fused_kinds(g3) == [["abs", "add"]]
 
 
 def test_fuse_static_addmm_is_cv_pattern():
@@ -331,7 +339,8 @@ def test_dynamic_fusion_superset_of_static():
 
 
 def test_static_fusion_is_conservative():
-    # every multi-op vv group is pairwise mergeable per can_merge_iteration
+    # the iteration spaces of every pair of ops in a multi-op vv group unify
+    # (a reduction's space is its input's)
     from helpers import random_vector_graph
 
     rng = np.random.default_rng(31)
@@ -342,7 +351,7 @@ def test_static_fusion_is_conservative():
                 continue
             for i, a in enumerate(group.ops):
                 for b in group.ops[i + 1 :]:
-                    assert can_merge_iteration(a, b, g)
+                    assert unify_shapes(_space(a, g), _space(b, g), g.symbols) is not None
 
 
 @pytest.mark.parametrize("mode", ["static", "stream"])

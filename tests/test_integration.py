@@ -7,13 +7,11 @@ from tilevm import (
     DeviceConfig,
     DeviceState,
     OperatorGraph,
-    compile_group,
     fuse_static,
     tile_cube,
     tile_for_group,
 )
-from tilevm.encoder import bind_group, run_groups
-from tilevm.isa import TileOrder
+from tilevm.encoder import run_groups
 
 from helpers import oracle_env, random_vector_graph, run_static
 
@@ -92,29 +90,6 @@ def test_matmul_f16_runs():
     want = inputs["a"].astype(np.float64) @ inputs["b"].astype(np.float64)
     err = np.abs(out["o"].astype(np.float64) - want) / (1.0 + np.abs(want))
     assert err.max() <= 1e-2  # f16 storage of an f32-accumulated product
-
-
-def test_swizzle_orders_are_functionally_identical():
-    rng = np.random.default_rng(105)
-    g = _matmul_graph(64, 32, 64)
-    cfg = DeviceConfig(num_cores=3, local_mem_bytes=12288)
-    inputs = _mm_inputs(g, rng)
-    results = []
-    for order in (TileOrder.ROW_MAJOR, TileOrder.COL_MAJOR, TileOrder.BLOCK_ZIGZAG):
-        groups = fuse_static(g)
-        # tiled but not lowered, so compile_group lowers it in this order
-        tg = tile_cube(groups[0].subgraph(), cfg)
-        tg.order = order
-        device = DeviceState.from_config(cfg)
-        sub = tg.graph
-        bind_group(device, sub, inputs)
-        program = compile_group(groups[0], tg, cfg)
-        from tilevm.device import dispatch
-
-        dispatch(program, device, cfg=cfg, debug=True)
-        results.append(device.read_tensor(sub.tensors["o"], (64, 64)))
-    assert np.array_equal(results[0], results[1])
-    assert np.array_equal(results[0], results[2])
 
 
 def test_cube_vector_chain_with_bias_row():

@@ -13,7 +13,6 @@ from tilevm import (
     Queue,
     VirtualInstruction,
     decode_instruction,
-    decode_program,
     disassemble,
     encode_instruction,
     encode_program,
@@ -63,7 +62,6 @@ def _insn(kind, dst=0, srcs=(), tile=1, total=1, **extras):
 _VIEW_EXTRAS = {
     "dtype": int(DType.F32),
     "dims": 2,
-    "order": 1,
     "grid": (4, 2),
     "steps": (2, 4),
     "offsets": (0, 1),
@@ -82,7 +80,7 @@ WIRE_CASES = {
     ),
     "ViewLoad": (
         _insn("ViewLoad", 0x80, (0x2000,), 8, 64, **_VIEW_EXTRAS),
-        struct.pack("<HHQQIII", 1, 112, 0x80, 0x2000, 1, 2, 1)
+        struct.pack("<HHQQII", 1, 108, 0x80, 0x2000, 1, 2)
         + struct.pack(
             "<18I", 2, 4, 2, 2, 2, 4, 2, 0, 1, 2, 2, 4, 2, 8, 8, 2, 8, 1
         )
@@ -115,11 +113,11 @@ WIRE_CASES = {
         _insn(
             "Matmul", 0x10, (0x20, 0x30), 256, 1024,
             m=16, k=32, n=16, m_total=32, n_total=32,
-            grid_r=2, grid_c=2, order=2, acc=1,
+            grid_r=2, grid_c=2, acc=1,
         ),
         struct.pack(
-            "<HHQQQ11I", 40, 72, 0x10, 0x20, 0x30,
-            16, 32, 16, 32, 32, 2, 2, 2, 1, 256, 1024,
+            "<HHQQQ10I", 40, 68, 0x10, 0x20, 0x30,
+            16, 32, 16, 32, 32, 2, 2, 1, 256, 1024,
         ),
     ),
     "SyncWait": (
@@ -182,7 +180,6 @@ def test_roundtrip_identity_examples():
             extras={
                 "dtype": int(DType.F32),
                 "dims": 2,
-                "order": 0,
                 "grid": (4, 2),
                 "steps": (2, 4),
                 "offsets": (0, 0),
@@ -298,7 +295,7 @@ def test_program_header_roundtrip_and_code_size():
     assert program.header.code_size == sum(
         len(encode_instruction(i)) for i in insns
     )
-    header, decoded = decode_program(program)
+    header, decoded = program.header, program.instructions()
     assert decoded == insns
     assert header.total_tiles == 40 and header.block_dim == 40
     again = BytecodeProgram.from_bytes(program.to_bytes())
@@ -388,10 +385,8 @@ def test_effective_size_rule():
 
 
 def test_decompose_tile_index_orders():
+    # grids are visited row-major: the last dimension fastest
     grid = (2, 3)
-    rm = [decompose_tile_index(i, grid, 0) for i in range(6)]
+    rm = [decompose_tile_index(i, grid) for i in range(6)]
     assert rm == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    cm = [decompose_tile_index(i, grid, 1) for i in range(6)]
-    assert cm == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-    zz = [decompose_tile_index(i, grid, 2) for i in range(6)]
-    assert zz == [(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0)]
+    assert decompose_tile_index(4, (2, 1, 3)) == (1, 0, 1)

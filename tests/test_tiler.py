@@ -14,7 +14,6 @@ from tilevm import (
     tile_vector_graph,
     tiling_cost,
 )
-from tilevm.isa import TileOrder
 from tilevm.tiler import min_cost_multiplier
 
 from helpers import brute_force_min_cost
@@ -177,10 +176,9 @@ def test_tile_matmul_memory_forced_grid():
     tg = tile_cube(_matmul_graph(64, 32, 64), cfg)
     assert (tg.tm, tg.tn) == (32, 32)
     assert tg.tiles == 4 and tg.grid == (2, 2)
-    assert tg.order == TileOrder.ROW_MAJOR
     from tilevm.isa import decompose_tile_index
 
-    visits = [decompose_tile_index(i, tg.grid, tg.order) for i in range(4)]
+    visits = [decompose_tile_index(i, tg.grid) for i in range(4)]
     assert visits == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
