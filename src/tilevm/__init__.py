@@ -45,7 +45,6 @@ from .device import (
     ExecutionStats,
     dispatch,
     exec_instruction,
-    run_core,
     simulate_timing,
 )
 from .fuser import (

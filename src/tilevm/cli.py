@@ -274,7 +274,7 @@ def _check_outputs(g, inputs, tids, results, out) -> int:
     rel, abs_ = _tolerance_for(g)
     ok = True
     for tid in tids:
-        report = compare(results[tid].astype(np.float64), env[tid].data, rel, abs_)
+        report = compare(results[tid], env[tid].data, rel, abs_)
         status = "PASS" if report.passed else "FAIL"
         print(f"check {tid}: max_err={report.max_abs_err:.3e} {status}", file=out)
         ok &= report.passed

@@ -140,30 +140,42 @@ class CompareReport:
     checked: int
 
 
+# Elements per compare block: its float64 temporaries stay a few MiB
+# whatever the tensor size.
+COMPARE_BLOCK = 1 << 16
+
+
 def compare(
     actual: np.ndarray | RefTensor,
     expected: np.ndarray | RefTensor,
     rel_tol: float = 0.0,
     abs_tol: float = 0.0,
 ) -> CompareReport:
-    """Elementwise |a - e| <= abs_tol + rel_tol*|e|; NaN matches NaN only."""
+    """Elementwise |a - e| <= abs_tol + rel_tol*|e|; NaN matches NaN only.
+
+    Works through the raveled arrays one ``COMPARE_BLOCK`` at a time.
+    """
     a = actual.data if isinstance(actual, RefTensor) else np.asarray(actual)
     e = expected.data if isinstance(expected, RefTensor) else np.asarray(expected)
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {e.shape}")
-    a = a.astype(np.float64).ravel()
-    e = e.astype(np.float64).ravel()
-    both_nan = np.isnan(a) & np.isnan(e)
-    inf_match = np.isinf(a) & np.isinf(e) & (np.sign(a) == np.sign(e))
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(a - e)
-        ok = diff <= abs_tol + rel_tol * np.abs(e)
-    ok = ok | both_nan | inf_match
-    finite_diff = diff[np.isfinite(diff)]
-    max_err = float(finite_diff.max()) if finite_diff.size else (
-        0.0 if bool(ok.all()) else float("inf")
-    )
-    if bool(ok.all()):
-        return CompareReport(True, max_err if ok.size else 0.0, None, int(ok.size))
-    first = int(np.argmin(ok))
-    return CompareReport(False, max_err, first, int(ok.size))
+    a, e = a.ravel(), e.ravel()
+    max_err, first = None, None  # largest finite |a - e|; first failing index
+    for lo in range(0, a.size, COMPARE_BLOCK):
+        x = a[lo : lo + COMPARE_BLOCK].astype(np.float64)
+        y = e[lo : lo + COMPARE_BLOCK].astype(np.float64)
+        both_nan = np.isnan(x) & np.isnan(y)
+        inf_match = np.isinf(x) & np.isinf(y) & (np.sign(x) == np.sign(y))
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(x - y)
+            ok = diff <= abs_tol + rel_tol * np.abs(y)
+        ok |= both_nan | inf_match
+        finite_diff = diff[np.isfinite(diff)]
+        if finite_diff.size:
+            block_max = float(finite_diff.max())
+            max_err = block_max if max_err is None else max(max_err, block_max)
+        if first is None and not bool(ok.all()):
+            first = lo + int(np.argmin(ok))
+    if first is None:
+        return CompareReport(True, max_err or 0.0, None, int(a.size))
+    return CompareReport(False, float("inf") if max_err is None else max_err, first, int(a.size))

@@ -20,8 +20,10 @@ from tilevm import (
 )
 from tilevm.device import (
     ExecutionStats,
+    _check_disjoint_writes,
     _dtype,
     _view_geometry,
+    exec_instruction,
     matmul_effective,
     tile_range,
 )
@@ -128,6 +130,30 @@ def brute_force_liveness(ops, outputs) -> int:
         if op.output not in outputs and remaining_uses.get(op.output, 0) == 0:
             live.discard(op.output)
     return peak
+
+
+# The VM before lockstep: each core walks the body once per assigned tile,
+# core after core, one instruction at a time.  Kept as the reference the
+# lockstep dispatch must equal exactly.
+
+
+def reference_dispatch(
+    program: BytecodeProgram, device: DeviceState, debug: bool = False
+) -> ExecutionStats:
+    header = program.header
+    stats = ExecutionStats()
+    insns = program.instructions()
+    for core_id in range(header.block_dim):
+        core = device.cores[core_id]
+        core.write_ranges.clear()
+        tiles = tile_range(core_id, header.total_tiles, header.block_dim)
+        for tile in tiles:
+            for insn in insns:
+                exec_instruction(insn, tile, core, device, stats)
+        stats.tiles_executed += len(tiles)
+    if debug:
+        _check_disjoint_writes(device, header.block_dim)
+    return stats
 
 
 # The timing model before it simulated each distinct core once: two passes

@@ -1,6 +1,7 @@
 import collections
 import itertools
-from math import prod
+from math import ceil, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from tilevm import (
     exec_instruction,
     fuse_static,
     ref_execute,
-    run_core,
     simulate_timing,
 )
 from tilevm import device as device_mod, isa
@@ -40,8 +40,10 @@ from tilevm.isa import (
 )
 
 from helpers import (
+    compound_graph,
     oracle_env,
     random_vector_graph,
+    reference_dispatch,
     reference_simulate_core,
     reference_simulate_timing,
     run_static,
@@ -426,10 +428,174 @@ def test_dispatch_block_dim_exceeds_cores():
         dispatch(program, device)
 
 
-def test_run_core_empty_range():
+def test_dispatch_leaves_cores_past_the_last_tile_idle():
     device = DeviceState(8, 4096, 1 << 16)
-    program = _simple_program(4, 8)
-    run_core(7, program, device)  # tiles [7*1, min(4, 8)) is empty
+    program = _simple_program(4, 8)  # cores 4-7 get the empty ranges [c, min(4, c+1))
+    stats = dispatch(program, device, debug=True)
+    assert stats.tiles_executed == 4
+    assert stats.instruction_counts == {
+        "Load": 4, "SyncSet": 8, "SyncWait": 8, "Muls": 4, "Store": 4,
+    }
+    assert [len(core.write_ranges) for core in device.cores] == [1] * 4 + [0] * 4
+    assert [core.dtypes for core in device.cores[4:]] == [{}] * 4
+    assert not device.local[4:].any()
+
+
+def _shifted_copy_program(tiles, block_dim):
+    """Tile t loads 8 f32 from byte 64 + 32t and stores them at 32 + 32t,
+    so tile t+1 stores the range tile t loads."""
+    f32 = {"tile_stride": 8, "dtype": int(DType.F32)}
+    load = VirtualInstruction(InstructionKind.Load, 0, (64,), 8, 8 * tiles, f32)
+    store = VirtualInstruction(InstructionKind.Store, 32, (0,), 8, 8 * tiles, f32)
+    return encode_program(ProgramHeader(KernelType.VECTOR, 0, tiles, block_dim), [load, store])
+
+
+@pytest.mark.parametrize("block_dim", [2, 4])
+def test_debug_check_sees_a_load_another_core_stores(block_dim):
+    device = DeviceState(4, 4096, 1 << 12)
+    with pytest.raises(VMError, match="loads global range .* that core . stores"):
+        dispatch(_shifted_copy_program(4, block_dim), device, debug=True)
+    dispatch(_shifted_copy_program(4, block_dim), DeviceState(4, 4096, 1 << 12))
+
+
+def test_debug_check_lets_a_core_load_its_own_stores():
+    device = DeviceState(1, 4096, 1 << 12)
+    dispatch(_shifted_copy_program(4, 1), device, debug=True)
+
+
+def _f32(kind, dst, srcs=(), tiles=3, **extras):
+    return VirtualInstruction(kind, dst, srcs, 8, 8 * tiles, extras)
+
+
+def _load(dst, src, dtype=DType.F32, tiles=3):
+    return _f32(InstructionKind.Load, dst, (src,), tiles, tile_stride=8, dtype=int(dtype))
+
+
+_BAD_PROGRAMS = {
+    "untyped read": ([_f32(InstructionKind.Sqrt, 0, (512,))], "core 0: Sqrt reads untyped"),
+    "mixed dtypes": (
+        [_load(0, 0), _load(256, 0, DType.F16), _f32(InstructionKind.Add, 0, (0, 256))],
+        r"Add: operand dtypes differ \(F32, F16\)",
+    ),
+    "local out of bounds": ([_load(4090, 0)], r"core 0: local access \[4090, 4122\)"),
+    "global out of bounds": ([_load(0, 4032)], r"global access \[4096, 4128\) out of bounds"),
+    "empty box": (
+        [_box_insn(InstructionKind.ViewLoad, 0, (3,), (2,), (2,), (4,), (1,))],
+        r"ViewLoad: empty tile box \(origin 4\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_PROGRAMS))
+def test_lockstep_raises_what_the_per_core_reference_raises(case):
+    body, message = _BAD_PROGRAMS[case]
+    program = encode_program(ProgramHeader(KernelType.VECTOR, 0, 3, 3), body)
+    errors = []
+    for run in (dispatch, reference_dispatch):
+        with pytest.raises(VMError, match=message) as err:
+            run(program, DeviceState(3, 4096, 1 << 12))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_lanes_with_different_stale_dtypes_run_one_by_one():
+    """A buffer left by earlier dispatches as f32 on one core and f16 on
+    another is read in each core's own dtype; a core without it raises."""
+    program = encode_program(
+        ProgramHeader(KernelType.VECTOR, 0, 3, 3),
+        [_f32(InstructionKind.Sqrt, 64, (0,)), _f32(InstructionKind.Abs, 128, (64,))],
+    )
+    devices = []
+    for run in (dispatch, reference_dispatch):
+        device = DeviceState(3, 4096, 1 << 12)
+        device.local[:, :64] = np.arange(64, dtype=np.uint8)
+        for core, dtype in zip(device.cores, (DType.F32, DType.F16, DType.F32)):
+            core.dtypes[0] = dtype
+        run(program, device)
+        devices.append(device)
+        del device.cores[2].dtypes[0]
+        with pytest.raises(VMError, match="core 2: Sqrt reads untyped local buffer at 0x0"):
+            run(program, device)
+    assert np.array_equal(devices[0].local, devices[1].local)
+    assert [c.dtypes for c in devices[0].cores] == [c.dtypes for c in devices[1].cores]
+    assert devices[0].cores[1].dtypes[128] is DType.F16
+
+
+# --- lockstep against the per-core reference --------------------------------------
+
+
+def _is_ragged(insn, tiles):
+    return insn.tile_size < insn.total_size and insn.effective_size(tiles - 1) < insn.tile_size
+
+
+def _lockstep_case(seed):
+    """Run one random graph's groups on two identical devices, through
+    ``dispatch`` and through ``reference_dispatch``, and assert that every
+    effect is identical.  Returns the cases the programs covered."""
+    rng = np.random.default_rng(seed)
+    cfg = DeviceConfig(
+        num_cores=int(rng.choice([1, 2, 3, 5, 8, 40])),
+        local_mem_bytes=int(rng.choice([4, 8, 16, 64])) * 1024,
+    )
+    kind = str(rng.choice(["vector", "vector", "matmul", "addmm", "layernorm"]))
+    if kind == "vector":
+        g, inputs = random_vector_graph(rng, max_ops=6, max_rows=96, max_cols=256)
+    else:
+        g, inputs = compound_graph(kind, rng)
+    chunk = int(rng.choice([device_mod.LANE_CHUNK_ELEMS, 1, 96, 1024]))
+    lockstep, reference = DeviceState.from_config(cfg), DeviceState.from_config(cfg)
+    seen = set()
+    for group in fuse_static(g):
+        try:
+            tg = tile_for_group(group, cfg)
+        except InfeasibleTilingError:
+            break
+        for device in (lockstep, reference):
+            bind_group(device, tg.graph, inputs)
+        program = compile_group(group, tg, cfg)
+        with mock.patch.object(device_mod, "LANE_CHUNK_ELEMS", chunk):
+            got = dispatch(program, lockstep, debug=True)
+        want = reference_dispatch(program, reference, debug=True)
+        label = (seed, group.describe())
+        assert np.array_equal(lockstep.global_mem, reference.global_mem), label
+        assert np.array_equal(lockstep.local, reference.local), label
+        assert list(got.instruction_counts.items()) == list(want.instruction_counts.items())
+        assert got.global_bytes_moved == want.global_bytes_moved, label
+        assert got.tiles_executed == want.tiles_executed, label
+        for a, b in zip(lockstep.cores, reference.cores):
+            assert a.write_ranges == b.write_ranges, (label, a.index)
+            assert a.dtypes == b.dtypes, (label, a.index)
+        header, insns = program.header, program.instructions()
+        tiles = header.total_tiles
+        kinds = [i.kind for i in insns]
+        cases = {
+            "ragged tail": any(_is_ragged(i, tiles) for i in insns),
+            "several tiles per core": ceil(tiles / header.block_dim) > 1,
+            "block_dim < num_cores": header.block_dim < cfg.num_cores,
+            "non-advancing store": tiles > 1 and any(
+                i.kind is InstructionKind.Store and i.tile_size >= i.total_size for i in insns
+            ),
+            "broadcast view": any(
+                i.kind is InstructionKind.ViewLoad and 0 in i.extras["strides"] for i in insns
+            ),
+            "k chunks": kinds.count(InstructionKind.Matmul) > 1,
+            "chunked lanes": chunk < device_mod.LANE_CHUNK_ELEMS and header.block_dim > 1,
+        }
+        seen |= {case for case, hit in cases.items() if hit}
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lockstep_matches_per_core_reference(seed):
+    _lockstep_case(seed)
+
+
+def test_lockstep_reference_corpus_covers_each_case():
+    seen = collections.Counter()
+    for seed in range(40):
+        seen.update(_lockstep_case(seed))
+    assert len(seen) == 7, seen
 
 
 def test_functional_determinism_core_order():

@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tilevm import DType, OperatorGraph, RefTensor, compare, ref_execute
+from tilevm import DType, OperatorGraph, RefTensor, compare, oracle, ref_execute
 from tilevm.isa import CmpType
-from tilevm.oracle import quantize
+from tilevm.oracle import CompareReport, quantize
 
 
 def _run(g, **arrays):
@@ -127,6 +131,48 @@ def test_compare_reports():
 
     with pytest.raises(ValueError):
         compare(np.zeros(2), np.zeros(3))
+
+
+def _whole_array_compare(a, e, rel_tol, abs_tol):
+    """The comparison rule applied to the whole arrays at once."""
+    a, e = a.astype(np.float64).ravel(), e.astype(np.float64).ravel()
+    both_nan = np.isnan(a) & np.isnan(e)
+    inf_match = np.isinf(a) & np.isinf(e) & (np.sign(a) == np.sign(e))
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(a - e)
+        ok = (diff <= abs_tol + rel_tol * np.abs(e)) | both_nan | inf_match
+    finite_diff = diff[np.isfinite(diff)]
+    max_err = float(finite_diff.max()) if finite_diff.size else (
+        0.0 if bool(ok.all()) else float("inf")
+    )
+    if bool(ok.all()):
+        return CompareReport(True, max_err if ok.size else 0.0, None, int(ok.size))
+    return CompareReport(False, max_err, int(np.argmin(ok)), int(ok.size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 40),
+    block=st.sampled_from([1, 3, 8, oracle.COMPARE_BLOCK]),
+    dtype=st.sampled_from([np.float16, np.float32, np.float64, np.int32]),
+)
+def test_blocked_compare_matches_whole_array_rule(seed, size, block, dtype):
+    rng = np.random.default_rng(seed)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    expected = rng.normal(size=size)
+    pick = rng.random(size) < 0.2
+    expected[pick] = rng.choice(specials, pick.sum())
+    noise = rng.choice([0.0, 1e-7, 1e-3, 1.0], size) * rng.normal(size=size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        actual = (expected + noise).astype(dtype)
+    if dtype != np.int32:
+        flip = rng.random(size) < 0.1
+        actual[flip] = rng.choice(specials, flip.sum())
+    rel, abs_ = float(rng.choice([0.0, 1e-5, 1e-2])), float(rng.choice([0.0, 1e-5, 1e-2]))
+    with mock.patch.object(oracle, "COMPARE_BLOCK", block):
+        got = compare(actual, expected, rel, abs_)
+    assert got == _whole_array_compare(actual, expected, rel, abs_)
 
 
 def test_missing_input_rejected():
