@@ -670,12 +670,24 @@ def _check_disjoint_writes(device: DeviceState, count: int) -> list[tuple[int, i
         for lo, hi in core.write_ranges:
             ranges.append((lo, hi, core.index))
     ranges.sort()
-    for (lo1, hi1, c1), (lo2, hi2, c2) in zip(ranges, ranges[1:]):
-        if c1 != c2 and lo2 < hi1:
+    # in order of lo: the range reaching furthest so far, and the one
+    # reaching furthest among the other cores' ranges (at first, a
+    # sentinel of no core that reaches nothing)
+    first = second = (0, 0, -1)
+    for r in ranges:
+        lo, hi, core = r
+        other = second if first[2] == core else first
+        if lo < other[1]:
             raise VMError(
-                f"cores {c1} and {c2} write overlapping global ranges "
-                f"[{lo1},{hi1}) and [{lo2},{hi2})"
+                f"cores {other[2]} and {core} write overlapping global ranges "
+                f"[{other[0]},{other[1]}) and [{lo},{hi})"
             )
+        if hi > first[1]:
+            if first[2] != core:
+                second = first
+            first = r
+        elif hi > second[1] and first[2] != core:
+            second = r
     return ranges
 
 

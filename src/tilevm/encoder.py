@@ -144,14 +144,16 @@ class _Arena:
 
 
 def _aligned_strides(meta, g: OperatorGraph, rank: int) -> tuple[int, ...]:
-    shape = g.resolved_shape(meta.id)
-    strides = meta.elem_strides() if meta.strides is not None else None
+    """A tensor's element strides, left-padded with zeros to ``rank``: its
+    declared ones, or row-major at its resolved shape.  The one source of
+    every view record's strides."""
+    strides = meta.strides
     if strides is None:
-        out = [1] * len(shape)
+        shape = g.resolved_shape(meta.id)
+        strides = [1] * len(shape)
         for d in reversed(range(len(shape) - 1)):
-            out[d] = out[d + 1] * shape[d + 1]
-        strides = tuple(out)
-    return (0,) * (rank - len(shape)) + tuple(strides)
+            strides[d] = strides[d + 1] * shape[d + 1]
+    return (0,) * (rank - len(strides)) + tuple(strides)
 
 
 class _Lowerer:
@@ -178,6 +180,34 @@ class _Lowerer:
         """May Adds/Muls write ``tid``'s buffer in place?  The cube chain
         always copies first."""
         return False
+
+    def _view(
+        self, kind, meta, buf, tile, total, grid, steps, offsets, sizes, fulls, strides
+    ) -> None:
+        """Append a ViewLoad of ``meta``'s tensor into ``buf``, or a ViewStore
+        of ``buf`` into it: a box walk over the tile grid.  The box operands
+        are tuples, one entry per dim."""
+        load = kind is InstructionKind.ViewLoad
+        self.protos.append(
+            _Proto(
+                kind,
+                dst=buf if load else None,
+                srcs=() if load else (buf,),
+                tile_size=tile,
+                total_size=total,
+                extras={
+                    "dtype": int(meta.dtype),
+                    "dims": len(sizes),
+                    "grid": grid,
+                    "steps": steps,
+                    "offsets": offsets,
+                    "sizes": sizes,
+                    "fulls": fulls,
+                    "strides": strides,
+                },
+                global_tensor=meta.id,
+            )
+        )
 
 
 class _VectorLowerer(_Lowerer):
@@ -256,35 +286,16 @@ class _VectorLowerer(_Lowerer):
             else:
                 row_stride = strides[self.b - 1] if self.b > 0 else 0
         dims = 1 + max(0, self.rank - self.b)
-        sizes = [self.r] + [shape[d] for d in range(self.b, self.rank)]
-        fulls = [self.R] + [shape[d] for d in range(self.b, self.rank)]
-        box_strides = [row_stride] + [strides[d] for d in range(self.b, self.rank)]
-        grid = [self.tg.tiles] + [1] * (dims - 1)
-        steps = [self.r] + [0] * (dims - 1)
-        self.protos.append(
-            _Proto(
-                InstructionKind.ViewLoad,
-                dst=buf,
-                tile_size=tile,
-                total_size=total,
-                extras={
-                    "dtype": int(meta.dtype),
-                    "dims": dims,
-                    "grid": tuple(grid),
-                    "steps": tuple(steps),
-                    "offsets": (0,) * dims,
-                    "sizes": tuple(sizes),
-                    "fulls": tuple(fulls),
-                    "strides": tuple(box_strides),
-                },
-                global_tensor=tid,
-            )
+        inrow = shape[self.b :]
+        self._view(
+            InstructionKind.ViewLoad, meta, buf, tile, total,
+            (self.tg.tiles,) + (1,) * (dims - 1), (self.r,) + (0,) * (dims - 1),
+            (0,) * dims, (self.r, *inrow), (self.R, *inrow),
+            (row_stride, *strides[self.b :]),
         )
 
     def _lower_store(self, tid: str) -> None:
         meta = self.g.tensors[tid]
-        if not meta.is_contiguous:
-            raise EncoderError(f"stored tensor {tid} must be contiguous")
         if self._advancing(self._shape(tid)):
             tile, total = self._sizes(tid)
         else:
@@ -385,46 +396,17 @@ class _CubeLowerer(_Lowerer):
         b_buf = self._buffer(b_id, kc * tn, b_meta.dtype)
         mm_buf = self._buffer(mm.output, tm * tn, out_dtype)
         self.buffer_of[mm.output] = mm_buf
-        chunks = ceil(k / kc)
-        for c in range(chunks):
+        a_strides = _aligned_strides(a_meta, g, 2)
+        b_strides = _aligned_strides(b_meta, g, 2)
+        for c in range(ceil(k / kc)):
             kc_c = min(kc, k - c * kc)
-            self.protos.append(
-                _Proto(
-                    InstructionKind.ViewLoad,
-                    dst=a_buf,
-                    tile_size=tm * kc_c,
-                    total_size=m * k,
-                    extras={
-                        "dtype": int(a_meta.dtype),
-                        "dims": 2,
-                        "grid": (gr, gc),
-                        "steps": (tm, 0),
-                        "offsets": (0, c * kc),
-                        "sizes": (tm, kc_c),
-                        "fulls": (m, k),
-                        "strides": self._slab_strides(a_meta, (m, k)),
-                    },
-                    global_tensor=a_id,
-                )
+            self._view(
+                InstructionKind.ViewLoad, a_meta, a_buf, tm * kc_c, m * k,
+                (gr, gc), (tm, 0), (0, c * kc), (tm, kc_c), (m, k), a_strides,
             )
-            self.protos.append(
-                _Proto(
-                    InstructionKind.ViewLoad,
-                    dst=b_buf,
-                    tile_size=kc_c * tn,
-                    total_size=k * n,
-                    extras={
-                        "dtype": int(b_meta.dtype),
-                        "dims": 2,
-                        "grid": (gr, gc),
-                        "steps": (0, tn),
-                        "offsets": (c * kc, 0),
-                        "sizes": (kc_c, tn),
-                        "fulls": (k, n),
-                        "strides": self._slab_strides(b_meta, (k, n)),
-                    },
-                    global_tensor=b_id,
-                )
+            self._view(
+                InstructionKind.ViewLoad, b_meta, b_buf, kc_c * tn, k * n,
+                (gr, gc), (0, tn), (c * kc, 0), (kc_c, tn), (k, n), b_strides,
             )
             self.protos.append(
                 _Proto(
@@ -451,11 +433,6 @@ class _CubeLowerer(_Lowerer):
             self._lower_store(tid)
         return _Lowering(self.protos, self.buffers, self.buffer_of)
 
-    def _slab_strides(self, meta, shape2d) -> tuple[int, int]:
-        if meta.strides is not None and tuple(meta.strides) != (shape2d[1], 1):
-            return tuple(meta.strides)  # type: ignore[return-value]
-        return (shape2d[1], 1)
-
     def _sizes(self, tid: str) -> tuple[int, int]:
         tile = self.tg.tm * self.tg.tn
         return tile, tile
@@ -478,51 +455,21 @@ class _CubeLowerer(_Lowerer):
         frozen_rows = shape[0] == 1
         buf = self._buffer(tid, tg.tm * tg.tn, meta.dtype)
         self.buffer_of[tid] = buf
-        strides = (0, 1) if frozen_rows else (n, 1)
-        self.protos.append(
-            _Proto(
-                InstructionKind.ViewLoad,
-                dst=buf,
-                tile_size=tg.tm * tg.tn,
-                total_size=m * n,
-                extras={
-                    "dtype": int(meta.dtype),
-                    "dims": 2,
-                    "grid": tg.grid,
-                    "steps": (0 if frozen_rows else tg.tm, tg.tn),
-                    "offsets": (0, 0),
-                    "sizes": (tg.tm, tg.tn),
-                    "fulls": (m, n),
-                    "strides": strides,
-                },
-                global_tensor=tid,
-            )
+        row_stride, col_stride = _aligned_strides(meta, g, 2)
+        self._view(
+            InstructionKind.ViewLoad, meta, buf, tg.tm * tg.tn, m * n, tg.grid,
+            (0 if frozen_rows else tg.tm, tg.tn), (0, 0), (tg.tm, tg.tn), (m, n),
+            (0 if frozen_rows else row_stride, col_stride),
         )
         return buf
 
     def _lower_store(self, tid: str) -> None:
         tg, g = self.tg, self.g
-        meta = g.tensors[tid]
         m, _, n = tg.mkn
-        self.protos.append(
-            _Proto(
-                InstructionKind.ViewStore,
-                dst=None,
-                srcs=(self.buffer_of[tid],),
-                tile_size=tg.tm * tg.tn,
-                total_size=m * n,
-                extras={
-                    "dtype": int(meta.dtype),
-                    "dims": 2,
-                    "grid": tg.grid,
-                    "steps": (tg.tm, tg.tn),
-                    "offsets": (0, 0),
-                    "sizes": (tg.tm, tg.tn),
-                    "fulls": (m, n),
-                    "strides": (n, 1),
-                },
-                global_tensor=tid,
-            )
+        self._view(
+            InstructionKind.ViewStore, g.tensors[tid], self.buffer_of[tid],
+            tg.tm * tg.tn, m * n, tg.grid, (tg.tm, tg.tn), (0, 0), (tg.tm, tg.tn),
+            (m, n), _aligned_strides(g.tensors[tid], g, 2),
         )
 
 
@@ -593,6 +540,9 @@ def _check_op_dtypes(g: OperatorGraph, op) -> None:
 
 
 def _lower(tg: TiledGraph) -> _Lowering:
+    for tid in tg.graph.outputs:
+        if not tg.graph.tensors[tid].is_contiguous:
+            raise EncoderError(f"stored tensor {tid} must be contiguous")
     if tg.kind == "vector":
         return _VectorLowerer(tg).lower()
     return _CubeLowerer(tg).lower()

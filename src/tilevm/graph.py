@@ -167,9 +167,6 @@ class TensorMeta:
             return True
         return self.is_concrete and self.strides == self.contiguous_strides()
 
-    def elem_strides(self) -> tuple[int, ...]:
-        return self.strides if self.strides is not None else self.contiguous_strides()
-
 
 @dataclass
 class BasicOp:

@@ -237,14 +237,6 @@ def tile_vector_graph(
     return tg
 
 
-def _matmul_budget(
-    tm: int, tn: int, kc: int, in_bytes: int, out_bytes: int, extra_bufs: int
-) -> int:
-    slabs = (tm * kc + kc * tn) * in_bytes
-    out_tiles = tm * tn * out_bytes * (1 + extra_bufs)
-    return slabs + out_tiles
-
-
 def _align16_floor(x: int) -> int:
     return max(16, (x // 16) * 16)
 
@@ -269,14 +261,10 @@ def _tile_matmul_shapes(
         for tn in range(16, tn_cap + 1, 16):
             # largest k chunk fitting alongside this output tile
             free = cfg.local_mem_bytes - tm * tn * out_b * (1 + extra_bufs)
-            if free <= 0:
-                continue
             kc = min(k, free // ((tm + tn) * in_b))
             if kc < k:
                 kc = (kc // 16) * 16
-            if kc < min(k, 16):
-                continue
-            if _matmul_budget(tm, tn, kc, in_b, out_b, extra_bufs) > cfg.local_mem_bytes:
+            if kc < min(k, 16):  # also when the output tiles alone overflow
                 continue
             # splitting k is a fallback: any unsplit candidate beats a split one
             chunks = ceil(k / kc)

@@ -462,6 +462,56 @@ def compound_graph(
     return g, inputs
 
 
+def random_cube_graph(
+    rng: np.random.Generator, max_dim: int = 80
+) -> tuple[OperatorGraph, dict[str, np.ndarray]]:
+    """A random matmul, followed three times in four by an element-wise
+    chain whose side inputs are (m, n), (1, n) or (n,) tensors: one cube or
+    cube-vector group, with chain loads that advance by rows and that don't."""
+    g = OperatorGraph()
+    m, k, n = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
+    dtype = (DType.F32, DType.F16)[int(rng.integers(2))]
+    for tid, shape in (("a", (m, k)), ("b", (k, n)), ("mm", (m, n))):
+        g.tensor(tid, dtype, shape)
+    g.op("matmul", ["a", "b"], "mm")
+    head = "mm"
+    for i in range(int(rng.integers(0, 4))):
+        side, out = f"c{i}", f"t{i}"
+        g.tensor(side, dtype, [(m, n), (1, n), (n,)][int(rng.integers(3))])
+        g.tensor(out, dtype, (m, n))
+        kind = ("add", "sub", "mul", "min", "max")[int(rng.integers(5))]
+        g.op(kind, [head, side] if rng.random() < 0.5 else [side, head], out)
+        head = out
+    g.set_outputs([head])
+    inputs = {
+        tid: _random_data(rng, g.tensors[tid].shape, dtype) for tid in g.graph_input_ids()
+    }
+    return g, inputs
+
+
+def random_layout(rng: np.random.Generator, shape) -> tuple[int, ...] | None:
+    """Element strides storing ``shape`` contiguously (None), transposed, or
+    with unused elements after each row (after each element, if 1-D)."""
+    roll, pad = int(rng.integers(3)), int(rng.integers(1, 8))
+    if roll == 0:
+        return None
+    if len(shape) == 1:
+        return (1 + pad,)
+    rows, cols = shape
+    return (1, rows) if roll == 1 else (cols + pad, 1)
+
+
+def with_layouts(g: OperatorGraph, layouts: dict) -> OperatorGraph:
+    """A copy of ``g`` whose tensors named in ``layouts`` have those strides."""
+    out = OperatorGraph()
+    for tid, meta in g.tensors.items():
+        out.tensor(tid, meta.dtype, meta.shape, layouts.get(tid, meta.strides))
+    for op in g.ops:
+        out.add_op(op)
+    out.set_outputs(g.outputs)
+    return out
+
+
 # --- pipeline drivers -----------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tilevm import cli
-from tilevm.cli import EXIT_CHECK_FAILED, EXIT_PARSE_ERROR, main
+from tilevm.cli import EXIT_CHECK_FAILED, EXIT_COMPILE_OR_RUN, EXIT_PARSE_ERROR, main
 
 EXIT_CODES = {0, 1, 2, 3, 4}
 
@@ -167,6 +167,38 @@ def test_strided_input_runs_correctly(tmp_path, capsys, kind, case, mode):
     code, captured = _run(_write(tmp_path, mode, content), mode, capsys)
     assert code == 0, captured.err
     assert "RESULT PASS" in captured.out
+
+
+@pytest.mark.parametrize("mode", ["static", "stream"])
+@pytest.mark.parametrize("strides", [[64, 1], [1, 32]])
+def test_strided_chain_input_runs_correctly(tmp_path, capsys, strides, mode):
+    # addmm's bias is loaded by the matmul's group, through its strides
+    a, b = ({"id": t, "dtype": "f32", "shape": [32, 32], "seed": i} for i, t in enumerate("ab"))
+    c = {"id": "c", "dtype": "f32", "shape": [32, 32], "strides": strides, "seed": 3}
+    doc = _graph([{"kind": "addmm", "in": ["a", "b", "c"], "out": "y"}], [a, b, c])
+    content = doc if mode == "static" else _trace(doc)
+    code, captured = _run(_write(tmp_path, mode, content), mode, capsys)
+    assert code == 0, captured.err
+    assert "RESULT PASS" in captured.out
+
+
+STRIDED_STORES = {  # y is stored transposed
+    "vector": [{"kind": "abs", "in": ["a"], "out": "y"}],
+    "cube": [{"kind": "matmul", "in": ["a", "b"], "out": "y"},
+             {"kind": "matmul", "in": ["y", "b"], "out": "z"}],
+}
+
+
+@pytest.mark.parametrize("mode", ["static", "stream"])
+@pytest.mark.parametrize("path", sorted(STRIDED_STORES))
+def test_strided_stored_tensor_exits_4(tmp_path, capsys, path, mode):
+    a, b = ({"id": t, "dtype": "f32", "shape": [32, 32], "seed": i} for i, t in enumerate("ab"))
+    y = {"id": "y", "dtype": "f32", "shape": [32, 32], "strides": [1, 32]}
+    doc = _graph(STRIDED_STORES[path], [a, b, y])
+    content = doc if mode == "static" else _trace(doc)
+    code, captured = _run(_write(tmp_path, mode, content), mode, capsys)
+    assert code == EXIT_COMPILE_OR_RUN
+    assert captured.err == "error: EncoderError: stored tensor y must be contiguous\n"
 
 
 ALIASING = {  # shape, strides: two indices reach one element

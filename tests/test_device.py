@@ -841,6 +841,44 @@ def test_write_set_checker_catches_overlap():
         _check_disjoint_writes(device, 2)
 
 
+def test_write_set_checker_sees_overlap_behind_a_longer_range():
+    # in sorted order core 0's [10,20) sits between its [0,100) and core 1's
+    # [30,40), so neighbours alone never compare two cores' ranges
+    from tilevm.device import _check_disjoint_writes
+
+    device = DeviceState(2, 4096, 1 << 16)
+    device.cores[0].write_ranges += [(0, 100), (10, 20)]
+    device.cores[1].write_ranges.append((30, 40))
+    with pytest.raises(VMError, match=r"\[0,100\) and \[30,40\)"):
+        _check_disjoint_writes(device, 2)
+
+
+def test_write_set_checker_matches_pairwise_check():
+    from tilevm.device import _check_disjoint_writes
+
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for _ in range(400):
+        device = DeviceState(int(rng.integers(2, 5)), 4096, 1 << 16)
+        for core in device.cores:
+            for _ in range(int(rng.integers(0, 4))):
+                lo = int(rng.integers(0, 300))
+                core.write_ranges.append((lo, lo + int(rng.integers(1, 60))))
+        ranges = [(lo, hi, c.index) for c in device.cores for lo, hi in c.write_ranges]
+        clash = any(
+            c1 != c2 and lo1 < hi2 and lo2 < hi1
+            for lo1, hi1, c1 in ranges
+            for lo2, hi2, c2 in ranges
+        )
+        verdicts.add(clash)
+        if clash:
+            with pytest.raises(VMError):
+                _check_disjoint_writes(device, len(device.cores))
+        else:
+            assert _check_disjoint_writes(device, len(device.cores)) == sorted(ranges)
+    assert verdicts == {False, True}
+
+
 def test_exec_rejects_unknown_dtype_code():
     device = DeviceState(1, 4096)
     _prep(device, 0, [1.0])

@@ -19,6 +19,7 @@ from tilevm import (
     validate_sync,
 )
 from tilevm.encoder import EncoderError, bind_group, run_groups
+from tilevm.fuser import CV_PATTERN
 from tilevm.graph import REDUCTION_KINDS, decompose
 from tilevm.oracle import compare
 from tilevm.isa import MEMORY_KINDS, Queue, sync_set, sync_wait, VirtualInstruction
@@ -27,8 +28,11 @@ from helpers import (
     compound_graph,
     direct_layernorm,
     oracle_env,
+    random_cube_graph,
+    random_layout,
     random_vector_graph,
     run_static,
+    with_layouts,
 )
 
 CFG = DeviceConfig()
@@ -452,3 +456,85 @@ def test_every_group_tile_for_group_accepts_compiles_and_matches_oracle():
             got = results[tid].astype(np.float64)
             assert compare(got, env[tid].data, tol, tol).passed, (i, tid)
     assert accepted >= 40 and capped >= 10, (accepted, capped)
+
+
+# --- every view record reads the tensor's own layout -------------------------
+
+
+def test_cube_groups_are_layout_invariant():
+    # transposed or row-padded A, B and chain inputs change only where the
+    # loads read, not what each tile's local buffers hold: bit-identical
+    rng = np.random.default_rng(24)
+    seen = {"run": 0, "strided chain input": 0, "k chunks": 0, "tiles": 0}
+    for i in range(40):
+        g, inputs = random_cube_graph(rng, max_dim=128)
+        cfg = DeviceConfig(
+            num_cores=int(rng.integers(1, 9)),
+            local_mem_bytes=int(rng.integers(6144, 16385)),
+        )
+        layouts = {t: random_layout(rng, g.tensors[t].shape) for t in g.graph_input_ids()}
+        try:
+            want, _, _ = run_static(g, inputs, cfg)
+        except InfeasibleTilingError:
+            continue
+        seen["run"] += 1
+        got, _, groups = run_static(with_layouts(g, layouts), inputs, cfg)
+        for tid in g.outputs:
+            assert got[tid].tobytes() == want[tid].tobytes(), (i, tid, layouts)
+        tg = tile_for_group(groups[0], cfg)
+        seen["strided chain input"] += any(layouts[t] for t in layouts if t not in ("a", "b"))
+        seen["k chunks"] += tg.k_chunk < tg.mkn[1]
+        seen["tiles"] += tg.tiles > 1
+    assert seen["run"] >= 30 and min(seen.values()) >= 5, seen
+
+
+def test_vector_groups_are_layout_invariant():
+    rng = np.random.default_rng(25)
+    strided = 0
+    for i in range(60):
+        g, inputs = random_vector_graph(rng, max_ops=6, max_rows=32, max_cols=64)
+        cfg = DeviceConfig(num_cores=int(rng.integers(1, 9)))
+        layouts = {t: random_layout(rng, g.tensors[t].shape) for t in g.graph_input_ids()}
+        want, _, _ = run_static(g, inputs, cfg)
+        got, _, _ = run_static(with_layouts(g, layouts), inputs, cfg)
+        for tid in g.outputs:
+            assert got[tid].tobytes() == want[tid].tobytes(), (i, tid, layouts)
+        strided += any(layouts.values())
+    assert strided >= 30, strided
+
+
+@pytest.mark.parametrize("strides", [(64, 1), (1, 32)])
+def test_strided_chain_input_is_read_through_its_strides(strides):
+    # addmm's bias c, once loaded as if its strides were (32, 1)
+    g = OperatorGraph()
+    for tid in ("a", "b", "c", "ab", "y"):
+        g.tensor(tid, "f32", (32, 32))
+    g.op("matmul", ["a", "b"], "ab")
+    g.op("add", ["ab", "c"], "y")
+    g.set_outputs(["y"])
+    rng = np.random.default_rng(6)
+    inputs = {t: rng.uniform(-1, 1, (32, 32)).astype(np.float32) for t in "abc"}
+    want, _, _ = run_static(g, inputs, CFG)
+    got, _, groups = run_static(with_layouts(g, {"c": strides}), inputs, CFG)
+    assert groups[0].kind == CV_PATTERN  # the add is in the matmul's group
+    assert got["y"].tobytes() == want["y"].tobytes()
+
+
+def test_strided_stored_tensor_is_rejected_on_both_paths():
+    vector = OperatorGraph()
+    vector.tensor("a", "f32", (32, 32))
+    vector.tensor("y", "f32", (32, 32), (1, 32))
+    vector.op("abs", ["a"], "y")
+    vector.set_outputs(["y"])
+    cube = OperatorGraph()
+    for tid in ("a", "b", "w", "z"):
+        cube.tensor(tid, "f32", (32, 32))
+    cube.tensor("y", "f32", (32, 32), (1, 32))
+    cube.op("matmul", ["a", "b"], "y")
+    cube.op("matmul", ["y", "w"], "z")
+    cube.set_outputs(["z"])
+    for g, vector_only in ((vector, True), (cube, False)):
+        group = fuse_static(g)[0]
+        assert group.subgraph().is_vector_only == vector_only
+        with pytest.raises(EncoderError, match="stored tensor y must be contiguous"):
+            tile_for_group(group, CFG)
